@@ -101,7 +101,7 @@ class Agent:
 
     Subclasses implement ``_choose`` and ``_learn``.  The base class enforces
     the round protocol: every selection must be answered by exactly one
-    feedback call for the same round and arm.
+    feedback call for the same round and arm, with a finite reward.
     """
 
     name = "agent"
@@ -129,8 +129,12 @@ class Agent:
             raise RuntimeError(
                 f"feedback for round {t}, arm {arm} does not match the "
                 f"pending selection {self._pending}")
+        reward = float(reward)
+        if not math.isfinite(reward):
+            raise ValueError(
+                f"reward for round {t}, arm {arm} must be finite, got {reward}")
         self._pending = None
-        self._learn(t, arm, float(reward))
+        self._learn(t, arm, reward)
 
     def _choose(self, t: int) -> int:
         raise NotImplementedError

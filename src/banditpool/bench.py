@@ -335,7 +335,11 @@ def regret_trace(gaps: np.ndarray, arms) -> np.ndarray:
 
 
 def _log_points(horizon: int, stride: int) -> np.ndarray:
-    return np.arange(stride, horizon + 1, stride, dtype=np.int64)
+    """Every ``stride``-th round, and always the final round."""
+    points = np.arange(stride, horizon + 1, stride, dtype=np.int64)
+    if horizon % stride:
+        points = np.append(points, horizon)
+    return points
 
 
 def _simulate_bandit(env, agent, horizon, env_rng) -> np.ndarray:

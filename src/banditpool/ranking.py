@@ -39,29 +39,47 @@ def exploration_budget(t: int) -> float:
     return log_t + 3.0 * math.log(max(log_t, 1.0))
 
 
+# Largest starting point of the Newton iteration; kl(mean, q) diverges at 1.
+_Q_MAX = 1.0 - 1e-12
+
+
 def klucb_solve(mean: float, observations: int, budget: float,
                 tol: float = 1e-6) -> float:
     """Largest q in [mean, 1] with ``observations * kl(mean, q) <= budget``.
 
-    Bisects to absolute tolerance ``tol`` on q and keeps halving until the
-    scaled divergence also lands within 1e-6 of the budget (the divergence is
-    steep near 1, so the q tolerance alone does not bound the residual).
+    The result lies within ``tol`` of that q, and the scaled divergence at it
+    lies within 1e-6 of the budget unless q sits so close to 1 that floating
+    point cannot resolve it further.  ``q -> kl(mean, q)`` is convex and
+    increasing on [mean, 1), so Newton's method started above the root
+    descends onto it in a few steps (Garivier & Cappe, COLT 2011).  It starts
+    at the Pinsker bound ``mean + sqrt(target / 2)``, capped at ``1 - 1e-12``.
+    A bracket around the root catches any step that leaves it; such a step
+    bisects instead.  ``mean = 0`` has the closed form ``1 - exp(-target)``.
     """
     if mean >= 1.0:
         return 1.0
     target = budget / observations
+    if target <= 0.0:
+        return mean
+    if mean <= 0.0:
+        return -math.expm1(-target)
     lo, hi = mean, 1.0
+    q = min(mean + math.sqrt(0.5 * target), _Q_MAX)
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if kl_bernoulli(mean, mid) <= target:
-            lo = mid
+        if not lo < q < hi:
+            q = 0.5 * (lo + hi)
+            if not lo < q < hi:
+                return lo
+        gap = kl_bernoulli(mean, q) - target
+        if gap <= 0.0:
+            lo = q
         else:
-            hi = mid
-        if hi - lo <= tol and abs(observations * kl_bernoulli(mean, lo) - budget) <= 1e-6:
-            break
-    return lo
+            hi = q
+        step = gap * q * (1.0 - q) / (q - mean)
+        if abs(step) <= tol and (observations * abs(gap) <= 1e-6
+                                 or abs(step) <= 4.0 * math.ulp(q)):
+            return q
+        q -= step
 
 
 def klucb_index(clicks: int, observations: int, t: int,

@@ -1,9 +1,9 @@
 """Monte Carlo verification of the reward-pool guarantees.
 
-Each check simulates many independent reward streams through the production
-pool builder and counts how often a claimed high-probability property fails.
-A check passes when the empirical failure rate stays within the claimed rate
-plus a three-standard-error binomial slack.
+Each pool check simulates many independent reward streams and counts how
+often a claimed high-probability property of the production pool builder
+fails.  A check passes when the empirical failure rate stays within the
+claimed rate plus a three-standard-error binomial slack.
 """
 
 from __future__ import annotations
@@ -43,16 +43,75 @@ def variance_floor_threshold(horizon: int, z: float) -> float:
     return 4.0 * math.log(horizon) / (z - 1.0 - math.log(z)) + 1.0
 
 
+def _prefix_pool_variances(rewards: np.ndarray,
+                           alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pool variance of every prefix of ``rewards``, with a rounding margin.
+
+    Entry ``k - 1`` of the first array is ``alpha^2`` times the population
+    variance of ``rewards[:k]``, the value ``build_pool(rewards[:k],
+    alpha).variance()`` takes in exact arithmetic.  It comes from cumulative
+    sums of the rewards and of their squares after shifting every reward by
+    ``rewards[0]``, which removes a common offset before anything is squared.
+
+    Entry ``k - 1`` of the second array is a rounding margin: eight times
+    ``alpha^2 g (M2 + R sqrt(M2) + g R^2)``, with ``g = (k + 4) eps``, ``M2``
+    the mean squared shifted reward and ``R`` the largest ``|reward|`` of the
+    prefix, plus an allowance for underflow.  It bounds the rounding error of
+    this value and of the ``build_pool`` value together, even when every sum
+    runs sequentially, so a floor lying outside the margin compares the same
+    way against both.
+    """
+    k = np.arange(1.0, rewards.size + 1.0)
+    shifted = rewards - rewards[0]
+    mean = np.cumsum(shifted) / k
+    mean_sq = np.cumsum(shifted * shifted) / k
+    scale = alpha * alpha
+    variances = scale * (mean_sq - mean * mean)
+    peak = np.maximum.accumulate(np.abs(rewards))
+    grain = (k + 4.0) * np.finfo(float).eps
+    margin = 8.0 * (scale * grain * (mean_sq + peak * np.sqrt(mean_sq)
+                                     + grain * peak * peak)
+                    + (k + 4.0) * np.finfo(float).tiny)
+    return variances, margin
+
+
+def _violates_floor(rewards: np.ndarray, alpha: float, floor: float,
+                    first_round: int) -> bool:
+    """Whether ``build_pool(rewards[:t - 1], alpha).variance() < floor`` at
+    some round ``t`` in ``first_round .. len(rewards)``.
+
+    Decides every round from :func:`_prefix_pool_variances` in one pass and
+    rebuilds the pool only at rounds whose fast variance lies within the
+    rounding margin of the floor, so the answer is the one the per-round
+    rebuild gives.
+    """
+    start = first_round - 1  # length of the shortest prefix checked
+    if rewards.size - 1 < start:
+        return False
+    variances, margin = _prefix_pool_variances(rewards[:-1], alpha)
+    gap = variances[start - 1:] - floor
+    near = np.abs(gap) <= margin[start - 1:]
+    if bool(np.any(gap[~near] < 0.0)):
+        return True
+    return any(build_pool(rewards[:length], alpha).variance() < floor
+               for length in np.flatnonzero(near) + start)
+
+
 def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0,
                          sigma: float = 0.5, trials: int = 2000,
                          rng: np.random.Generator | None = None,
                          mean_range: tuple[float, float] = (0.0, 1.0)) -> CheckReport:
     """Pool variance stays above ``alpha^2 z sigma^2 / 2`` past the warm-up.
 
-    Simulates Gaussian reward streams whose means vary inside ``mean_range``,
-    builds the pool at every round past the warm-up threshold, and counts a
-    trial as failed if the floor is violated at any of those rounds (joint
-    counting).  The claimed failure rate is ``1 / horizon``.
+    Simulates Gaussian reward streams whose means vary inside ``mean_range``
+    and counts a trial as failed if the pool built from the first ``t - 1``
+    rewards falls below the floor at any round ``t`` past the warm-up
+    threshold (joint counting).  The claimed failure rate is ``1 / horizon``.
+
+    Each trial takes the pool variance of all its prefixes from cumulative
+    sums, O(horizon) per trial.  A round whose value lies within the rounding
+    margin of the floor is re-decided by building that pool, so the failure
+    count equals the one a pool rebuild at every round gives, for any input.
     """
     rng = rng if rng is not None else np.random.default_rng()
     floor = 0.5 * alpha * alpha * z * sigma * sigma
@@ -61,10 +120,7 @@ def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0
     for _ in range(trials):
         means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
         rewards = means + sigma * rng.standard_normal(horizon)
-        for t in range(first_round, horizon + 1):
-            if build_pool(rewards[: t - 1], alpha).variance() < floor:
-                failures += 1
-                break
+        failures += _violates_floor(rewards, alpha, floor, first_round)
     rate = 1.0 / horizon
     empirical = failures / trials
     bound = rate + _binomial_slack(rate, trials)

@@ -151,6 +151,18 @@ class TestRewardPoolAgent:
         with pytest.raises(ValueError):
             agent.select(0)
 
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, reward):
+        agent = self.make()
+        arm = agent.select(1)
+        with pytest.raises(ValueError, match=f"round 1, arm {arm}"):
+            agent.update(1, arm, reward)
+        assert agent.pulls.sum() == 0
+        assert np.all(np.isfinite(agent.totals))
+        # The round still awaits its feedback and accepts a finite reward.
+        agent.update(1, arm, 0.5)
+        assert agent.totals[arm] == 0.5
+
     def test_get_params(self):
         agent = self.make(alpha=0.4, z=0.5)
         assert agent.get_params() == {"alpha": 0.4, "z": 0.5}

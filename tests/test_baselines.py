@@ -228,6 +228,16 @@ class TestAgentBehaviour:
         assert np.all(agent._successes <= agent.pulls)
         assert agent.pulls[1] > agent.pulls[0]
 
+    @pytest.mark.parametrize("reward", [np.nan, np.inf])
+    def test_non_finite_reward_rejected(self, reward):
+        agent = UCB1Agent(3, 10)
+        agent.update(1, agent.select(1), 0.4)
+        arm = agent.select(2)
+        with pytest.raises(ValueError, match=f"round 2, arm {arm}"):
+            agent.update(2, arm, reward)
+        assert agent.pulls.sum() == 1
+        assert np.all(np.isfinite(agent.totals))
+
     def test_ucbv_tracks_empirical_variance(self):
         agent = UCBVAgent(2, 50, range_bound=1.0)
         for t, (arm, reward) in enumerate(

@@ -163,6 +163,23 @@ class TestRunExperiment:
         assert len(rows) - 1 == 2 * points
         assert all(row[4] == "6" for row in rows[1:])
 
+    def test_final_round_logged_when_stride_does_not_divide(self, tmp_path):
+        """n = 105, stride 10: rounds 10, ..., 100 are logged, then 105."""
+        config = small_config(tmp_path, horizon=105)
+        every_round = collect_runs(dataclasses.replace(config, stride=1))
+        results = collect_runs(config)
+        for full, strided in zip(every_round, results):
+            assert strided.rounds.tolist() == list(range(10, 101, 10)) + [105]
+            assert strided.cum_regret[-1] == full.cum_regret[104]
+        outcome = run_experiment(config)
+        finals = [r.cum_regret[-1] for r in results if r.agent == "pool"]
+        assert outcome["aggregates"]["pool"]["rounds"][-1] == 105
+        assert outcome["aggregates"]["pool"]["mean"][-1] == pytest.approx(
+            np.mean(finals))
+        cell = parameter_sweep(dataclasses.replace(
+            config, agents=config.agents[:1], sweep={"alpha": [0.6], "z": [0.6]}))
+        assert cell[0]["mean_final_regret"] == pytest.approx(np.mean(finals))
+
     def test_reruns_byte_identical(self, tmp_path):
         paths = []
         for sub in ("a", "b"):

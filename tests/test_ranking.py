@@ -42,6 +42,30 @@ class TestKLBernoulli:
             assert kl_bernoulli(p, q) >= 0.0
 
 
+def bisection_klucb(mean, observations, budget, tol=1e-6):
+    """Reference KL-UCB index by bisection, about 33 kl evaluations a call.
+
+    Keeps ``lo`` feasible and halves until ``hi - lo <= tol`` and the scaled
+    divergence at ``lo`` lies within 1e-6 of the budget, or until floating
+    point cannot split the bracket further.
+    """
+    if mean >= 1.0:
+        return 1.0
+    target = budget / observations
+    lo, hi = mean, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if kl_bernoulli(mean, mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo <= tol
+                and abs(observations * kl_bernoulli(mean, lo) - budget) <= 1e-6):
+            return lo
+
+
 class TestKLUCB:
     def test_certain_mean_scores_one(self):
         assert klucb_index(5, 5, 100) == 1.0
@@ -65,6 +89,35 @@ class TestKLUCB:
             q = klucb_solve(mean, obs, budget)
             if q < 0.99:
                 assert obs * kl_bernoulli(mean, q) == pytest.approx(budget, abs=1e-5)
+
+    def test_matches_bisection_on_random_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            obs = int(rng.integers(1, 200 if rng.uniform() < 0.5 else 100_000))
+            mean = int(rng.integers(0, obs + 1)) / obs
+            budget = exploration_budget(int(rng.integers(1, 200_000)))
+            q = klucb_solve(mean, obs, budget)
+            assert mean <= q <= 1.0
+            assert q == pytest.approx(bisection_klucb(mean, obs, budget), abs=1e-6)
+
+    @pytest.mark.parametrize("mean", [0.0, 1.0, 1.0 - 1e-9, 1e-9, 0.5])
+    def test_matches_bisection_on_edges(self, mean):
+        for obs in (1, 2, 100_000):
+            for budget in (0.0, 1e-4, exploration_budget(2), 5.0,
+                           exploration_budget(200_000), 60.0):
+                q = klucb_solve(mean, obs, budget)
+                assert mean <= q <= 1.0
+                assert q == pytest.approx(bisection_klucb(mean, obs, budget),
+                                          abs=1e-6), (obs, budget)
+
+    def test_zero_mean_closed_form_is_exact(self):
+        for obs, budget in ((1, 1.0), (7, 3.5), (100_000, 20.0)):
+            q = klucb_solve(0.0, obs, budget)
+            assert q == -math.expm1(-budget / obs)
+            assert obs * kl_bernoulli(0.0, q) == pytest.approx(budget, abs=1e-9)
+
+    def test_zero_budget_returns_the_mean(self):
+        assert klucb_index(3, 10, 1) == 0.3
 
     def test_index_bounds(self):
         rng = np.random.default_rng(2)

@@ -1,9 +1,19 @@
 """Monte Carlo checks of the pool guarantees on small, fast configurations."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from banditpool import theory
+from banditpool.pool import build_pool
 from banditpool.theory import (
+    CheckReport,
+    _prefix_pool_variances,
+    _violates_floor,
     check_posterior_match,
     check_shifted_ball,
     check_tail_mass,
@@ -15,6 +25,152 @@ from banditpool.theory import (
     variance_floor_threshold,
     write_check_report,
 )
+
+
+def rebuild_violates(rewards, alpha, floor, first_round) -> bool:
+    """Per-round pool rebuild: is the floor broken at any checked round?"""
+    return any(build_pool(rewards[: t - 1], alpha).variance() < floor
+               for t in range(first_round, rewards.size + 1))
+
+
+def reference_check_variance_floor(horizon: int = 1000, z: float = 0.6,
+                                   alpha: float = 1.0, sigma: float = 0.5,
+                                   trials: int = 2000, rng=None,
+                                   mean_range=(0.0, 1.0)) -> CheckReport:
+    """The variance-floor check as a pool rebuild at every round, O(trials n^2).
+
+    This is the definition the prefix-sum check must reproduce exactly.
+    """
+    rng = rng if rng is not None else np.random.default_rng()
+    floor = 0.5 * alpha * alpha * z * sigma * sigma
+    first_round = math.floor(variance_floor_threshold(horizon, z)) + 1
+    failures = 0
+    for _ in range(trials):
+        means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
+        rewards = means + sigma * rng.standard_normal(horizon)
+        failures += rebuild_violates(rewards, alpha, floor, first_round)
+    rate = 1.0 / horizon
+    empirical = failures / trials
+    bound = rate + 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
+    return CheckReport(
+        check="pool_variance_floor",
+        params=f"n={horizon} z={z} alpha={alpha} sigma={sigma}",
+        trials=trials, failures=failures, bound=bound, empirical=empirical,
+        passed=empirical <= bound)
+
+
+def assert_rounds_decided_like_rebuild(rewards, alpha, floor):
+    """Every single round's decision equals the rebuilt pool's."""
+    for t in range(2, rewards.size + 1):
+        assert (_violates_floor(rewards[:t], alpha, floor, t)
+                == (build_pool(rewards[: t - 1], alpha).variance() < floor)), t
+
+
+finite_rewards = st.floats(min_value=-1e12, max_value=1e12,
+                           allow_nan=False, allow_infinity=False)
+alphas = st.floats(min_value=0.01, max_value=100.0)
+
+
+class TestPrefixPoolVariances:
+    @settings(deadline=None)
+    @given(st.lists(finite_rewards, min_size=1, max_size=60), alphas)
+    def test_within_margin_of_build_pool(self, rewards, alpha):
+        rewards = np.array(rewards)
+        fast, margin = _prefix_pool_variances(rewards, alpha)
+        for k in range(1, rewards.size + 1):
+            slow = build_pool(rewards[:k], alpha).variance()
+            assert abs(fast[k - 1] - slow) <= margin[k - 1], k
+
+    @settings(deadline=None)
+    @given(finite_rewards, st.integers(1, 60), alphas)
+    def test_constant_stream(self, value, size, alpha):
+        rewards = np.full(size, value)
+        fast, margin = _prefix_pool_variances(rewards, alpha)
+        assert np.all(fast == 0.0)
+        for k in range(1, size + 1):
+            assert build_pool(rewards[:k], alpha).variance() <= margin[k - 1]
+
+    @settings(deadline=None)
+    @given(st.sampled_from([0.0, 1e8, -1e8, 3e11]),
+           st.lists(st.integers(-64, 64), min_size=2, max_size=60), alphas)
+    def test_large_offset_keeps_relative_accuracy(self, offset, steps, alpha):
+        """Small noise on a large offset: squaring unshifted rewards would
+        cancel catastrophically; the shifted sums stay accurate.  The rewards
+        are exact in floating point, so the reference is exact too."""
+        rewards = offset + np.array(steps) / 64.0
+        fast, _ = _prefix_pool_variances(rewards, alpha)
+        for k in range(1, rewards.size + 1):
+            head = [Fraction(s, 64) for s in steps[:k]]
+            mean = sum(head) / k
+            exact = alpha * alpha * float(sum((h - mean) ** 2 for h in head) / k)
+            assert fast[k - 1] == pytest.approx(exact, rel=1e-9, abs=1e-300)
+            if abs(offset) <= 1e8:
+                slow = build_pool(rewards[:k], alpha).variance()
+                assert slow == pytest.approx(exact, rel=1e-9, abs=1e-300)
+
+
+class TestFloorDecision:
+    @pytest.mark.parametrize("alpha", [1.0, 0.6, 3.0])
+    @pytest.mark.parametrize("a", [0.1, 0.3, 1.0, 7.0, 1e8])
+    def test_alternating_stream_sits_on_the_floor(self, a, alpha):
+        """Every even prefix of +a, -a, ... has variance a^2 exactly, so its
+        pool variance equals the floor alpha^2 a^2 up to rounding."""
+        rewards = a * (-1.0) ** np.arange(120)
+        floor = alpha * alpha * a * a
+        for f in (floor, np.nextafter(floor, 0.0), np.nextafter(floor, np.inf)):
+            assert_rounds_decided_like_rebuild(rewards, alpha, f)
+            for first_round in (2, 3, 60, 120):
+                assert (_violates_floor(rewards, alpha, f, first_round)
+                        == rebuild_violates(rewards, alpha, f, first_round))
+
+    def test_floors_at_rebuilt_variances(self):
+        """A floor equal to a rebuilt pool variance, or one ulp off it."""
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            rewards = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 2), 40)
+            alpha = float(rng.uniform(0.2, 3.0))
+            k = int(rng.integers(1, 40))
+            floor = build_pool(rewards[:k], alpha).variance()
+            for f in (floor, np.nextafter(floor, 0.0), np.nextafter(floor, np.inf)):
+                assert_rounds_decided_like_rebuild(rewards, alpha, f)
+
+    def test_random_streams_and_floors(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            rewards = rng.normal(rng.uniform(-1, 1), rng.uniform(0.1, 1), n)
+            alpha = float(rng.uniform(0.2, 3.0))
+            first_round = int(rng.integers(2, n + 2))
+            floor = float(rng.uniform(0.0, 2.0)) * alpha * alpha
+            assert (_violates_floor(rewards, alpha, floor, first_round)
+                    == rebuild_violates(rewards, alpha, floor, first_round))
+
+    @pytest.mark.parametrize("config", [
+        dict(horizon=200, z=0.6, trials=40),
+        dict(horizon=4, z=0.01, trials=2000),
+        dict(horizon=6, z=0.02, alpha=0.7, trials=2000, mean_range=(0.0, 0.0)),
+        dict(horizon=12, z=0.05, sigma=2.0, trials=1000, mean_range=(0.0, 0.0)),
+        dict(horizon=30, z=0.3, alpha=2.5, sigma=0.1, trials=200),
+        dict(horizon=150, z=0.6, sigma=0.0, trials=20, mean_range=(0.5, 0.5)),
+    ])
+    def test_check_matches_rebuild_on_seeded_configs(self, config):
+        for seed in range(3):
+            got = check_variance_floor(rng=np.random.default_rng(seed), **config)
+            want = reference_check_variance_floor(rng=np.random.default_rng(seed),
+                                                  **config)
+            assert got == want
+
+    def test_some_seeded_config_fails(self):
+        """The configurations above include genuine floor violations."""
+        report = check_variance_floor(horizon=4, z=0.01, trials=2000,
+                                      rng=np.random.default_rng(0))
+        assert report.failures > 0
+
+    def test_default_checks_match_rebuild(self, monkeypatch):
+        got = default_checks(seed=0, pool_trials=100)
+        monkeypatch.setattr(theory, "check_variance_floor",
+                            reference_check_variance_floor)
+        assert got == default_checks(seed=0, pool_trials=100)
 
 
 class TestVarianceFloor:
