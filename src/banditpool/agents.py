@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .pool import RewardPool, build_pool
 
@@ -83,12 +83,42 @@ def perturbed_mean_estimates(totals, pulls, noise_sums) -> np.ndarray:
     return est
 
 
+def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of an SPD ``gram`` from LAPACK ``potrf``.
+
+    Only the lower triangle of the result is the factor; the upper one keeps
+    whatever ``gram`` held there.  On the small systems solved every round,
+    scipy's ``cho_factor``/``cho_solve`` wrapper code costs several times the
+    LAPACK work; calling LAPACK directly runs the same routines on the same
+    arrays, so results are bit-identical.
+    """
+    if not np.isfinite(gram).all():
+        raise ValueError("gram matrix must be finite")
+    factor, info = dpotrf(gram, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"gram matrix is not SPD: its leading minor of order {info} is "
+            "not positive definite")
+    return factor
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``gram @ x = rhs`` (1-D or one column per system) from a factor."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side must be finite")
+    # A non-zero info from potrs flags only an illegal argument, and the
+    # wrapper already rejects a malformed one with its own exception.
+    solution, _ = dpotrs(factor, rhs, lower=1)
+    return solution
+
+
 def ridge_solve(gram: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ theta = target`` for an SPD gram via Cholesky."""
-    try:
-        return cho_solve(cho_factor(gram, lower=True), target)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - corruption guard
-        raise np.linalg.LinAlgError(f"gram matrix is not SPD: {exc}") from exc
+    """Solve ``gram @ theta = target`` for an SPD gram via Cholesky.
+
+    Raises ``ValueError`` for a non-finite ``gram`` or ``target`` and
+    ``np.linalg.LinAlgError`` when ``gram`` is not positive definite.
+    """
+    return _cholesky_solve(_cholesky_factor(gram), target)
 
 
 def best_arm(features: np.ndarray, theta: np.ndarray) -> int:

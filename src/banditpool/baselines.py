@@ -10,9 +10,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .agents import Agent, LinearModelState, best_arm, ridge_solve
+from .agents import (
+    Agent,
+    LinearModelState,
+    _cholesky_factor,
+    _cholesky_solve,
+    best_arm,
+    ridge_solve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +281,9 @@ class _LinearAgent(Agent):
 def linucb_scores(state: LinearModelState, features: np.ndarray,
                   width: float) -> np.ndarray:
     """Optimistic scores ``x . theta_hat + width * ||x||_{G^{-1}}`` per arm."""
-    factor = cho_factor(state.gram, lower=True)
-    theta = cho_solve(factor, state.xy_sum)
-    solved = cho_solve(factor, features.T)
+    factor = _cholesky_factor(state.gram)
+    theta = _cholesky_solve(factor, state.xy_sum)
+    solved = _cholesky_solve(factor, features.T)
     norms = np.sqrt(np.maximum(np.einsum("dk,dk->k", features.T, solved), 0.0))
     return features @ theta + width * norms
 

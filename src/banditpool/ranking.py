@@ -249,7 +249,9 @@ class RewardPoolRanker(RankerPolicy):
 
     All binary attraction observations across items feed one shared pool;
     each item's estimate perturbs its own observations with draws from it,
-    exactly as the multi-armed agent treats arms.
+    exactly as the multi-armed agent treats arms.  The ranker has no
+    warm-up, so ``z`` plays no part: round 1 has no observation and ranks
+    the leading items, and pool draws start at round 2.
     """
 
     name = "pool"
@@ -286,4 +288,4 @@ class RewardPoolRanker(RankerPolicy):
             self._seen += 1
 
     def get_params(self) -> dict:
-        return {"alpha": self.params.alpha, "z": self.params.z}
+        return {"alpha": self.params.alpha}

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import cho_factor, cho_solve
 
 from banditpool.agents import (
     LinearModelState,
@@ -168,7 +172,77 @@ class TestRewardPoolAgent:
         assert agent.get_params() == {"alpha": 0.4, "z": 0.5}
 
 
+def reference_ridge_solve(gram, rhs):
+    """The scipy wrapper pair ``ridge_solve`` replaced."""
+    return cho_solve(cho_factor(gram, lower=True), rhs)
+
+
+@st.composite
+def spd_systems(draw, columns):
+    """``(gram, rhs)`` with ``gram = lam I + A^T A`` and d in 1..12.
+
+    ``columns`` draws a 1-D right-hand side when None, else a (d, k) one
+    laid out like LinUCB's ``features.T`` (a transposed C-ordered array).
+    """
+    dim = draw(st.integers(1, 12))
+    entries = st.floats(-10.0, 10.0, allow_nan=False)
+    a = draw(hnp.arrays(float, (draw(st.integers(0, 20)), dim), elements=entries))
+    lam = draw(st.floats(1e-3, 10.0))
+    gram = lam * np.eye(dim) + a.T @ a
+    if columns is None:
+        rhs = draw(hnp.arrays(float, dim, elements=entries))
+    else:
+        rhs = draw(hnp.arrays(float, (draw(columns), dim), elements=entries)).T
+    return gram, rhs
+
+
 class TestRidgeSolve:
+    @settings(deadline=None, max_examples=300)
+    @given(spd_systems(columns=None))
+    def test_bit_identical_to_scipy_wrappers(self, system):
+        gram, rhs = system
+        assert np.array_equal(ridge_solve(gram, rhs),
+                              reference_ridge_solve(gram, rhs))
+
+    @settings(deadline=None, max_examples=300)
+    @given(spd_systems(columns=st.integers(1, 50)))
+    def test_bit_identical_with_many_right_hand_sides(self, system):
+        gram, rhs = system
+        solution = ridge_solve(gram, rhs)
+        assert solution.shape == rhs.shape
+        assert np.array_equal(solution, reference_ridge_solve(gram, rhs))
+
+    def test_leaves_its_inputs_alone(self):
+        gram = np.array([[4.0, 1.0], [1.0, 3.0]])
+        rhs = np.array([1.0, 2.0])
+        ridge_solve(gram, rhs)
+        assert np.array_equal(gram, [[4.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(rhs, [1.0, 2.0])
+
+    def test_non_spd_gram_names_the_failing_minor(self):
+        gram = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="minor of order 2"):
+            ridge_solve(gram, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError, match="minor of order 1"):
+            ridge_solve(-np.eye(2), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0), (0, 1)],
+                             ids=["diagonal", "lower", "upper"])
+    def test_non_finite_gram_rejected(self, bad, where):
+        gram = 2.0 * np.eye(2)
+        gram[where] = bad
+        with pytest.raises(ValueError, match="gram matrix must be finite"):
+            ridge_solve(gram, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (2, 3)])
+    def test_non_finite_rhs_rejected(self, bad, shape):
+        rhs = np.ones(shape)
+        rhs[(1,) * len(shape)] = bad
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            ridge_solve(2.0 * np.eye(2), rhs)
+
     def test_scalar_example(self):
         """Perturbed ridge with history ((1,1),(1,0)), lam=1, noise (0.2,-0.2)."""
         gram = np.array([[3.0]])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from banditpool.agents import LinearModelState
 from banditpool.baselines import (
@@ -150,6 +151,20 @@ class TestLinearPrimitives:
         state = self.make_state()
         scores = linucb_scores(state, np.array([[1.0]]), width=1.0)
         assert scores[0] == pytest.approx(1.0 / 3.0 + 1.0 / math.sqrt(3.0))
+
+    def test_linucb_bit_identical_to_scipy_wrappers(self):
+        rng = np.random.default_rng(21)
+        for dim, n_arms in [(1, 3), (4, 7), (10, 50)]:
+            features = rng.normal(size=(n_arms, dim))
+            state = LinearModelState(dim, ridge_lambda=1.0, capacity=30)
+            for _ in range(30):
+                state.add(features[rng.integers(n_arms)], float(rng.normal()))
+            factor = cho_factor(state.gram, lower=True)
+            solved = cho_solve(factor, features.T)
+            norms = np.sqrt(np.maximum(
+                np.einsum("dk,dk->k", features.T, solved), 0.0))
+            expected = features @ cho_solve(factor, state.xy_sum) + 0.7 * norms
+            assert np.array_equal(linucb_scores(state, features, 0.7), expected)
 
     def test_zero_width_is_greedy(self):
         state = self.make_state()

@@ -246,6 +246,20 @@ class TestRankers:
         ranker = RewardPoolRanker(6, 3, 10, PoolParams(), np.random.default_rng(9))
         assert ranker.select_list(1) == [0, 1, 2]
 
+    def test_pool_ranker_draws_from_round_two(self):
+        rng = np.random.default_rng(11)
+        ranker = RewardPoolRanker(6, 3, 10, PoolParams(), rng)
+        before = rng.bit_generator.state
+        ranker.update(1, ranker.select_list(1), None)
+        assert rng.bit_generator.state == before
+        ranker.select_list(2)
+        assert rng.bit_generator.state != before
+
+    def test_pool_ranker_reports_only_alpha(self):
+        ranker = RewardPoolRanker(6, 3, 10, PoolParams(alpha=0.4, z=0.3),
+                                  np.random.default_rng(12))
+        assert ranker.get_params() == {"alpha": 0.4}
+
     def test_feedback_protocol_enforced(self):
         ranker = KLUCBRanker(5, 2, 10)
         slate = ranker.select_list(1)
