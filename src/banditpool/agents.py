@@ -13,11 +13,11 @@ selection on pool-perturbed estimates with fresh draws every round.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .pool import RewardPool, build_pool
 
@@ -83,6 +83,19 @@ def perturbed_mean_estimates(totals, pulls, noise_sums) -> np.ndarray:
     return est
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK bindings, imported on the first ridge solve.
+
+    Loading ``scipy.linalg`` takes most of ``import banditpool``'s time, and
+    only the linear agents' solves need it, so the MAB, ranking and theory
+    code never pay for it.
+    """
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of an SPD ``gram`` from LAPACK ``potrf``.
 
@@ -94,7 +107,7 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(gram).all():
         raise ValueError("gram matrix must be finite")
-    factor, info = dpotrf(gram, lower=1, clean=0)
+    factor, info = _lapack().dpotrf(gram, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"gram matrix is not SPD: its leading minor of order {info} is "
@@ -108,7 +121,7 @@ def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("right-hand side must be finite")
     # A non-zero info from potrs flags only an illegal argument, and the
     # wrapper already rejects a malformed one with its own exception.
-    solution, _ = dpotrs(factor, rhs, lower=1)
+    solution, _ = _lapack().dpotrs(factor, rhs, lower=1)
     return solution
 
 

@@ -22,7 +22,6 @@ import configparser
 import csv
 import dataclasses
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,12 +112,21 @@ def _coerce(raw: str, path: str, kind: type):
 
 def _section_dict(parser: configparser.ConfigParser, section: str,
                   types: dict) -> dict:
+    """The section's values coerced to ``types``; any other key is an error."""
     out = {}
     for key, raw in parser.items(section):
-        kind = types.get(key, str)
-        out[key] = _coerce(raw, f"{section}.{key}", kind)
+        if key not in types:
+            raise ConfigError(
+                f"{section}.{key}: unknown field; expected one of "
+                f"{', '.join(types)}")
+        out[key] = _coerce(raw, f"{section}.{key}", types[key])
     return out
 
+
+_RUN_FIELD_TYPES = {
+    "experiment": str, "n": int, "instances": int, "runs": int, "seed": int,
+    "out_dir": str, "stride": int, "workers": int,
+}
 
 _AGENT_PARAM_TYPES = {
     "alpha": float, "z": float, "lambda": float, "auto_ridge": bool,
@@ -131,20 +139,31 @@ _ENV_PARAM_TYPES = {
     "L": int, "low": float, "high": float, "queries_dir": str,
 }
 
+_SWEEP_FIELD_TYPES = {"alpha": str, "z": str, "agent": str}
+
 
 def parse_config(path) -> RunConfig:
-    """Parse an INI run configuration; raises ConfigError with a field path."""
+    """Parse an INI run configuration; raises ConfigError with a field path.
+
+    A section or key the runner does not read is rejected rather than
+    ignored, so a misspelt field cannot silently fall back to its default.
+    """
     parser = configparser.ConfigParser()
     parser.optionxform = str
     read = parser.read(path)
     if not read:
         raise ConfigError(f"{path}: cannot read config file")
+    for section in parser.sections():
+        if section not in ("run", "env", "sweep") and not section.startswith("agent."):
+            raise ConfigError(
+                f"{section}: unknown section; expected run, env, sweep or "
+                "agent.<name>")
     if not parser.has_section("run"):
         raise ConfigError("run: missing section")
     if not parser.has_section("env"):
         raise ConfigError("env: missing section")
 
-    run = dict(parser.items("run"))
+    run = _section_dict(parser, "run", _RUN_FIELD_TYPES)
     required = ("experiment", "n", "instances", "runs", "seed", "out_dir")
     for key in required:
         if key not in run:
@@ -157,7 +176,8 @@ def parse_config(path) -> RunConfig:
         name = section[len("agent."):]
         if not name:
             raise ConfigError(f"{section}: agent name must be non-empty")
-        params = _section_dict(parser, section, _AGENT_PARAM_TYPES)
+        params = _section_dict(parser, section,
+                               {"kind": str, **_AGENT_PARAM_TYPES})
         kind = params.pop("kind", None)
         if kind is None:
             raise ConfigError(f"{section}.kind: missing required field")
@@ -166,7 +186,7 @@ def parse_config(path) -> RunConfig:
     sweep = None
     if parser.has_section("sweep"):
         sweep = {}
-        raw = dict(parser.items("sweep"))
+        raw = _section_dict(parser, "sweep", _SWEEP_FIELD_TYPES)
         for axis in ("alpha", "z"):
             if axis not in raw:
                 raise ConfigError(f"sweep.{axis}: missing required field")
@@ -180,16 +200,16 @@ def parse_config(path) -> RunConfig:
             sweep["agent"] = raw["agent"]
 
     return RunConfig(
-        experiment=_coerce(run["experiment"], "run.experiment", str),
+        experiment=run["experiment"],
         env=_section_dict(parser, "env", _ENV_PARAM_TYPES),
         agents=tuple(agent_specs),
-        horizon=_coerce(run["n"], "run.n", int),
-        instances=_coerce(run["instances"], "run.instances", int),
-        runs=_coerce(run["runs"], "run.runs", int),
-        seed=_coerce(run["seed"], "run.seed", int),
+        horizon=run["n"],
+        instances=run["instances"],
+        runs=run["runs"],
+        seed=run["seed"],
         out_dir=run["out_dir"],
-        stride=_coerce(run.get("stride", "10"), "run.stride", int),
-        workers=_coerce(run.get("workers", "1"), "run.workers", int),
+        stride=run.get("stride", 10),
+        workers=run.get("workers", 1),
         sweep=sweep,
     )
 
@@ -391,6 +411,9 @@ def collect_runs(config: RunConfig) -> list[RunResult]:
     if config.workers == 1:
         results = [_execute_task(task) for task in tasks]
     else:
+        # Imported here so serial runs, the common case, skip its load time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_execute_task, tasks, chunksize=1))
     order = {spec.name: i for i, spec in enumerate(config.agents)}
@@ -479,6 +502,18 @@ def parameter_sweep(config: RunConfig) -> list[dict]:
         raise ConfigError(f"sweep.agent: no agent section named {target!r}")
 
     spec = next(s for s in config.agents if s.name == target)
+    if spec.kind != "pool":
+        raise ConfigError(
+            f"sweep.agent: {target!r} has kind {spec.kind!r}, which takes "
+            "no alpha or z; the sweep needs a pool agent")
+    # Every cell is checked before the first one runs, so a bad value late
+    # in a grid cannot fail the sweep after the earlier cells' work.
+    for axis in ("alpha", "z"):
+        for value in config.sweep[axis]:
+            try:
+                agents_mod.PoolParams(**{axis: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{axis}: {exc}") from exc
     rows = []
     for alpha in config.sweep["alpha"]:
         for z in config.sweep["z"]:

@@ -3,11 +3,13 @@
 import csv
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from banditpool import cli
+from banditpool import bench, cli
 from banditpool.bench import (
     AGGREGATE_COLUMNS,
     TRACE_COLUMNS,
@@ -104,6 +106,34 @@ class TestParseConfig:
         path = write_config(tmp_path, sweep=["alpha = 0.4,0.6", "z = 0.5"])
         config = parse_config(path)
         assert config.sweep == {"alpha": [0.4, 0.6], "z": [0.5]}
+
+    @pytest.mark.parametrize("section, line, field", [
+        ("agent.pool", "alpah = 5.0", "agent.pool.alpah"),
+        ("env", "sgima = 3.0", "env.sgima"),
+        ("run", "sede = 3", "run.sede"),
+        ("sweep", "beta = 0.5", "sweep.beta"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, line, field):
+        body = BASE_CONFIG + "\n[sweep]\nalpha = 0.6\nz = 0.6\n"
+        body = body.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{field}: unknown field"):
+            parse_config(write_config(tmp_path, text=body))
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = write_config(tmp_path, **{"agnet.ucbv": ["kind = ucbv"]})
+        with pytest.raises(ConfigError, match="^agnet.ucbv: unknown section"):
+            parse_config(path)
+
+    def test_readme_config_parses(self, tmp_path):
+        """The README's example config and [sweep] section are valid input."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text("\n".join(blocks))
+        config = parse_config(path)
+        assert [a.kind for a in config.agents] == ["pool", "ucb1", "ucbv"]
+        assert config.stride == 10 and config.workers == 1
+        assert config.sweep == {"alpha": [0.4, 0.6, 0.8], "z": [0.5, 0.6, 0.7]}
 
 
 class TestSeeding:
@@ -264,6 +294,26 @@ class TestParameterSweep:
     def test_sweep_requires_section(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep"):
             parameter_sweep(small_config(tmp_path))
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"alpha": [0.6, -1.0], "z": [0.6]}, "sweep.alpha"),
+        ({"alpha": [0.6], "z": [0.5, 1.0]}, "sweep.z"),
+    ])
+    def test_bad_grid_rejected_before_the_first_cell(self, tmp_path,
+                                                     monkeypatch, grid, field):
+        def no_cell(config):
+            raise AssertionError("a sweep cell ran before the grid was checked")
+
+        monkeypatch.setattr(bench, "collect_runs", no_cell)
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parameter_sweep(small_config(tmp_path, sweep=grid))
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_target_must_be_a_pool_agent(self, tmp_path):
+        config = small_config(
+            tmp_path, sweep={"alpha": [0.6], "z": [0.6], "agent": "ucb1"})
+        with pytest.raises(ConfigError, match="^sweep.agent: 'ucb1' has kind"):
+            parameter_sweep(config)
 
 
 class TestCli:

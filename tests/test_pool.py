@@ -1,9 +1,32 @@
 """Reward pool construction, variance identity, and draw semantics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from banditpool.pool import RewardPool, build_pool
+
+EPS = np.finfo(float).eps
+
+
+def exact_pool_variance(rewards, alpha) -> float:
+    """``alpha**2 * mean((y - mean)**2)`` in exact rational arithmetic."""
+    ys = [Fraction(y) for y in rewards]
+    mean = sum(ys) / len(ys)
+    return float(Fraction(alpha) ** 2 * sum((y - mean) ** 2 for y in ys) / len(ys))
+
+
+@st.composite
+def offset_histories(draw):
+    """Rewards ``offset + noise`` with |offset| <= 1e8, 1 to 60 of them."""
+    offset = draw(st.floats(-1e8, 1e8))
+    noise = draw(hnp.arrays(float, st.integers(1, 60),
+                            elements=st.floats(-10.0, 10.0)))
+    return offset + noise
 
 
 class TestBuildPool:
@@ -42,6 +65,26 @@ class TestBuildPool:
                                 alpha=float(rng.uniform(0.1, 3.0))).values
             assert abs(values.mean()) <= 1e-12 * max(np.abs(values).max(), 1.0)
             np.testing.assert_array_equal(np.sort(values), np.sort(-values))
+
+
+class TestBuildPoolProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(offset_histories(), st.floats(0.01, 10.0))
+    def test_symmetric_centred_and_variance_exact(self, rewards, alpha):
+        """Pairs are exact negations and the values sum to ~0.
+
+        The variance differs from the exact one only through the rounded
+        mean: centring on a mean off by ``delta`` adds ``alpha**2 delta**2``,
+        and a float mean of m rewards is off by at most ``m eps max|y|``.
+        The remaining roundings stay far below 1e-12 relative.
+        """
+        pool = build_pool(rewards, alpha)
+        values = pool.values
+        assert np.array_equal(values[1::2], -values[0::2])
+        assert abs(values.sum()) <= values.size * EPS * np.abs(values).max()
+        delta = rewards.size * EPS * np.abs(rewards).max()
+        exact = exact_pool_variance(rewards, alpha)
+        assert abs(pool.variance() - exact) <= 1e-12 * exact + (alpha * delta) ** 2
 
 
 class TestVariance:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditpool.agents import PoolParams
 from banditpool.envs import CascadeInstance
@@ -182,6 +184,30 @@ class TestCascadeUpdate:
         stats = ItemStats.empty(3)
         with pytest.raises(ValueError):
             cascade_update(stats, [0, 1], 2)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_accounting_invariants(self, data):
+        """Each round observes exactly the examined prefix of the slate, adds
+        one click only when there is one, and never lets clicks pass
+        observations."""
+        n_items = data.draw(st.integers(1, 12))
+        stats = ItemStats.empty(n_items)
+        for _ in range(data.draw(st.integers(1, 30))):
+            order = data.draw(st.permutations(range(n_items)))
+            ranked = order[: data.draw(st.integers(1, n_items))]
+            click_pos = data.draw(st.none() | st.integers(0, len(ranked) - 1))
+            examined = len(ranked) if click_pos is None else click_pos + 1
+            new_obs = np.zeros(n_items, dtype=np.int64)
+            new_obs[ranked[:examined]] = 1
+            new_clicks = np.zeros(n_items, dtype=np.int64)
+            if click_pos is not None:
+                new_clicks[ranked[click_pos]] = 1
+            before = (stats.observations.copy(), stats.clicks.copy())
+            cascade_update(stats, ranked, click_pos)
+            assert np.array_equal(stats.observations - before[0], new_obs)
+            assert np.array_equal(stats.clicks - before[1], new_clicks)
+            assert np.all(stats.clicks <= stats.observations)
 
 
 class TestRankingRegret:
