@@ -41,12 +41,16 @@ class PoolParams:
     auto_ridge: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # Written as range tests so that NaN, which fails every comparison,
+        # is rejected along with the out-of-range values.
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.z < 1.0:
             raise ValueError(f"z must lie strictly inside (0, 1), got {self.z}")
-        if self.ridge_lambda < 0:
-            raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+        if not 0.0 <= self.ridge_lambda < math.inf:
+            raise ValueError(
+                f"ridge_lambda must be >= 0 and finite, got {self.ridge_lambda}")
 
 
 def init_length(horizon: int, z: float, dims: int) -> int:
@@ -73,10 +77,14 @@ def perturbed_mean_estimates(totals, pulls, noise_sums) -> np.ndarray:
     ``totals`` are cumulative rewards, ``pulls`` the pull counts, and
     ``noise_sums`` the per-arm sums of pool draws.  Arms never pulled get
     ``+inf`` so a greedy argmax selects them first (lowest index wins).
+    After the pool agent's warm-up every arm has been pulled, and the
+    estimates are computed without a mask.
     """
     totals = np.asarray(totals, dtype=float)
     pulls = np.asarray(pulls)
     noise_sums = np.asarray(noise_sums, dtype=float)
+    if pulls.all():
+        return (totals + noise_sums) / pulls
     est = np.full(totals.shape, np.inf)
     seen = pulls > 0
     est[seen] = (totals[seen] + noise_sums[seen]) / pulls[seen]
@@ -143,8 +151,10 @@ class Agent:
     """Single-run sequential policy: ``select(t)`` then ``update(t, arm, y)``.
 
     Subclasses implement ``_choose`` and ``_learn``.  The base class enforces
-    the round protocol: every selection must be answered by exactly one
-    feedback call for the same round and arm, with a finite reward.
+    the round protocol: rounds run 1, 2, ... in order, and every selection
+    must be answered by exactly one feedback call for the same round and
+    arm, with a finite reward.  Warm-up schedules rely on the order: round
+    ``t <= K`` of a round-robin finds arms ``0..t-2`` pulled.
     """
 
     name = "agent"
@@ -157,12 +167,17 @@ class Agent:
         self.n_arms = int(n_arms)
         self.horizon = int(horizon)
         self._pending: tuple[int, int] | None = None
+        self._next_round = 1
 
     def select(self, t: int) -> int:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"round {t} outside [1, {self.horizon}]")
         if self._pending is not None:
             raise RuntimeError(f"round {self._pending[0]} still awaits feedback")
+        if t != self._next_round:
+            raise ValueError(
+                f"round {t} selected out of order; the next round is "
+                f"{self._next_round}")
         arm = self._choose(t)
         self._pending = (t, arm)
         return arm
@@ -177,6 +192,7 @@ class Agent:
             raise ValueError(
                 f"reward for round {t}, arm {arm} must be finite, got {reward}")
         self._pending = None
+        self._next_round = t + 1
         self._learn(t, arm, reward)
 
     def _choose(self, t: int) -> int:
@@ -228,7 +244,7 @@ class RewardPoolAgent(Agent):
     def _choose(self, t: int) -> int:
         if t <= self.init_rounds:
             return (t - 1) % self.n_arms
-        return int(np.argmax(self.perturbed_estimates()))
+        return int(self.perturbed_estimates().argmax())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         self._rewards[self._seen] = reward
@@ -252,8 +268,9 @@ class LinearModelState:
     def __init__(self, dim: int, ridge_lambda: float, capacity: int) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if ridge_lambda < 0:
-            raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+        if not 0.0 <= ridge_lambda < math.inf:
+            raise ValueError(
+                f"ridge_lambda must be >= 0 and finite, got {ridge_lambda}")
         self.dim = dim
         self.ridge_lambda = float(ridge_lambda)
         self.gram = ridge_lambda * np.eye(dim)

@@ -26,13 +26,33 @@ from .agents import (
 # ---------------------------------------------------------------------------
 
 
+def _ucb1(mean, pulls, log_t):
+    """The UCB1 index of arms that have all been pulled."""
+    return mean + np.sqrt(2.0 * log_t / pulls)
+
+
+def _ucbv(mean, variance, pulls, log_t, range_bound):
+    """The UCB-V index of arms that have all been pulled."""
+    return mean + (np.sqrt(2.0 * variance * log_t / pulls)
+                   + 3.0 * range_bound * log_t / pulls)
+
+
+def _clipped_variance(sumsq, mean, counts):
+    """Empirical variance ``sumsq / counts - mean^2``, clipped below at 0."""
+    return np.maximum(sumsq / counts - mean * mean, 0.0)
+
+
 def ucb1_index(mean, pulls, t):
     """Classic optimism index ``mean + sqrt(2 ln t / pulls)``; inf when unpulled."""
     mean = np.asarray(mean, dtype=float)
     pulls = np.asarray(pulls, dtype=float)
-    with np.errstate(divide="ignore"):
-        bonus = np.sqrt(2.0 * math.log(t) / pulls)
-    return mean + np.where(pulls > 0, bonus, np.inf)
+    if pulls.all():
+        return _ucb1(mean, pulls, math.log(t))
+    mean, pulls = np.broadcast_arrays(mean, pulls)
+    seen = pulls > 0
+    index = np.full(pulls.shape, np.inf)
+    index[seen] = _ucb1(mean[seen], pulls[seen], math.log(t))
+    return index
 
 
 def ucbv_index(mean, variance, pulls, t, range_bound=1.0):
@@ -43,11 +63,14 @@ def ucbv_index(mean, variance, pulls, t, range_bound=1.0):
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
     pulls = np.asarray(pulls, dtype=float)
-    log_t = math.log(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bonus = (np.sqrt(2.0 * variance * log_t / pulls)
-                 + 3.0 * range_bound * log_t / pulls)
-    return mean + np.where(pulls > 0, bonus, np.inf)
+    if pulls.all():
+        return _ucbv(mean, variance, pulls, math.log(t), range_bound)
+    mean, variance, pulls = np.broadcast_arrays(mean, variance, pulls)
+    seen = pulls > 0
+    index = np.full(pulls.shape, np.inf)
+    index[seen] = _ucbv(mean[seen], variance[seen], pulls[seen], math.log(t),
+                        range_bound)
+    return index
 
 
 def bern_ts_sample(successes, failures, rng: np.random.Generator):
@@ -120,33 +143,55 @@ class _ArmStatsAgent(Agent):
 
 
 class UCB1Agent(_ArmStatsAgent):
+    """UCB1 (Auer, Cesa-Bianchi & Fischer, 2002).
+
+    Rounds ``1..K`` play arms ``0..K-1`` in turn: that is the arm the +inf
+    index of an unpulled arm selects when rounds run in order.  Later rounds
+    evaluate the index on arrays where every arm has been pulled.
+    """
+
     name = "ucb1"
 
+    def indices(self, t: int) -> np.ndarray:
+        """The index of every arm at round ``t > K``."""
+        return _ucb1(self.totals / self.pulls, self.pulls, math.log(t))
+
     def _choose(self, t: int) -> int:
-        return int(np.argmax(ucb1_index(self.means(), self.pulls, max(t, 2))))
+        if t <= self.n_arms:
+            return t - 1
+        return int(self.indices(t).argmax())
 
 
 class UCBVAgent(_ArmStatsAgent):
-    """UCB with empirical variance; needs a reward-range bound."""
+    """UCB with empirical variance; needs a reward-range bound.
+
+    Plays arms ``0..K-1`` in rounds ``1..K``, as :class:`UCB1Agent` does.
+    """
 
     name = "ucbv"
 
     def __init__(self, n_arms: int, horizon: int, range_bound: float = 1.0) -> None:
         super().__init__(n_arms, horizon)
-        if range_bound <= 0:
-            raise ValueError(f"range_bound must be positive, got {range_bound}")
+        if not 0.0 < range_bound < math.inf:
+            raise ValueError(
+                f"range_bound must be positive and finite, got {range_bound}")
         self.range_bound = float(range_bound)
         self._sumsq = np.zeros(n_arms, dtype=float)
 
     def variances(self) -> np.ndarray:
-        mean = self.means()
-        raw = self._sumsq / np.maximum(self.pulls, 1) - mean * mean
-        return np.maximum(raw, 0.0)
+        counts = np.maximum(self.pulls, 1)
+        return _clipped_variance(self._sumsq, self.totals / counts, counts)
+
+    def indices(self, t: int) -> np.ndarray:
+        """The index of every arm at round ``t > K``."""
+        mean = self.totals / self.pulls
+        variance = _clipped_variance(self._sumsq, mean, self.pulls)
+        return _ucbv(mean, variance, self.pulls, math.log(t), self.range_bound)
 
     def _choose(self, t: int) -> int:
-        idx = ucbv_index(self.means(), self.variances(), self.pulls,
-                         max(t, 2), self.range_bound)
-        return int(np.argmax(idx))
+        if t <= self.n_arms:
+            return t - 1
+        return int(self.indices(t).argmax())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
@@ -196,8 +241,10 @@ class GaussianTSAgent(_ArmStatsAgent):
                  prior_mean: float = 0.5,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        if not math.isfinite(prior_mean):
+            raise ValueError(f"prior_mean must be finite, got {prior_mean}")
         self.sigma = float(sigma)
         self.prior_mean = float(prior_mean)
         self.rng = rng if rng is not None else np.random.default_rng()
@@ -219,8 +266,9 @@ class _PHEAgent(_ArmStatsAgent):
     def __init__(self, n_arms: int, horizon: int, a: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
-        if a <= 0:
-            raise ValueError(f"perturbation scale a must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(
+                f"perturbation scale a must be positive and finite, got {a}")
         self.a = float(a)
         self.rng = rng if rng is not None else np.random.default_rng()
 
@@ -267,8 +315,9 @@ class _LinearAgent(Agent):
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
             raise ValueError("features must be a (K, d) matrix")
-        if ridge_lambda <= 0:
-            raise ValueError(f"ridge_lambda must be positive, got {ridge_lambda}")
+        if not 0.0 < ridge_lambda < math.inf:
+            raise ValueError(
+                f"ridge_lambda must be positive and finite, got {ridge_lambda}")
         super().__init__(features.shape[0], horizon)
         self.features = features
         self.dim = features.shape[1]
@@ -319,8 +368,8 @@ class LinUCBAgent(_LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, width: float = 1.0,
                  ridge_lambda: float = 1.0) -> None:
         super().__init__(features, horizon, ridge_lambda)
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
+        if not 0.0 <= width < math.inf:
+            raise ValueError(f"width must be >= 0 and finite, got {width}")
         self.width = float(width)
 
     def _choose(self, t: int) -> int:
@@ -337,8 +386,8 @@ class LinTSAgent(_LinearAgent):
                  ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon, ridge_lambda)
-        if sigma_ts < 0:
-            raise ValueError(f"sigma_ts must be >= 0, got {sigma_ts}")
+        if not 0.0 <= sigma_ts < math.inf:
+            raise ValueError(f"sigma_ts must be >= 0 and finite, got {sigma_ts}")
         self.sigma_ts = float(sigma_ts)
         self.rng = rng if rng is not None else np.random.default_rng()
 
@@ -356,8 +405,9 @@ class LinPHEAgent(_LinearAgent):
                  pseudo_family: str = "bernoulli", ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon, ridge_lambda)
-        if a <= 0:
-            raise ValueError(f"perturbation scale a must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(
+                f"perturbation scale a must be positive and finite, got {a}")
         if pseudo_family not in ("bernoulli", "gaussian"):
             raise ValueError(f"unknown pseudo reward family {pseudo_family!r}")
         self.a = float(a)

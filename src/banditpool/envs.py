@@ -6,6 +6,7 @@ runs; all sampling goes through a caller-owned ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,11 +18,20 @@ DEFAULT_BETA_CONCENTRATION = 4.0
 DEFAULT_GAUSSIAN_STD = 0.5
 
 
+def _in_unit_interval(values: np.ndarray) -> bool:
+    """Every value lies in [0, 1]; NaN fails both comparisons."""
+    return bool(np.all((values >= 0.0) & (values <= 1.0)))
+
+
 def _check_family(family: str, means: np.ndarray, v: float, sigma: float) -> None:
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    if np.any(means < 0.0) or np.any(means > 1.0):
+    if not _in_unit_interval(means):
         raise ValueError("mean rewards must lie in [0, 1]")
+    if not math.isfinite(v):
+        raise ValueError(f"beta concentration v must be finite, got {v}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"gaussian reward std sigma must be finite, got {sigma}")
     if family == "beta":
         if v <= 0:
             raise ValueError(f"beta concentration v must be positive, got {v}")
@@ -98,6 +108,10 @@ class LinearInstance:
         k, d = self.features.shape
         if self.theta_star.shape != (d,):
             raise ValueError("theta_star dimension must match the features")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
+        if not np.isfinite(self.theta_star).all():
+            raise ValueError("theta_star must be finite")
         if k < d or d < 1:
             raise ValueError(f"need K >= d >= 1, got K={k}, d={d}")
         means = self.mean_rewards()
@@ -145,7 +159,7 @@ class CascadeInstance:
         object.__setattr__(self, "attractions", np.asarray(self.attractions, dtype=float))
         if self.attractions.ndim != 1 or self.attractions.size < 1:
             raise ValueError("need at least one item")
-        if np.any(self.attractions < 0.0) or np.any(self.attractions > 1.0):
+        if not _in_unit_interval(self.attractions):
             raise ValueError("attraction probabilities must lie in [0, 1]")
         if not 1 <= self.slate_size <= self.attractions.size:
             raise ValueError(
@@ -155,20 +169,26 @@ class CascadeInstance:
     def n_items(self) -> int:
         return self.attractions.size
 
-    def _validate_slate(self, ranked: list) -> np.ndarray:
-        items = np.asarray(ranked, dtype=int)
-        if items.size != self.slate_size:
+    def _validate_slate(self, ranked) -> list[int]:
+        items = [int(item) for item in ranked]
+        if len(items) != self.slate_size:
             raise ValueError(f"slate must contain exactly {self.slate_size} items")
-        if np.any(items < 0) or np.any(items >= self.n_items):
+        if min(items) < 0 or max(items) >= self.n_items:
             raise ValueError("slate contains out-of-range item ids")
-        if np.unique(items).size != items.size:
+        if len(set(items)) != len(items):
             raise ValueError("slate contains duplicate items")
         return items
 
     def expected_clicks(self, ranked) -> float:
-        """Probability of at least one click: ``1 - prod(1 - w(item))``."""
-        items = self._validate_slate(ranked)
-        return float(1.0 - np.prod(1.0 - self.attractions[items]))
+        """Probability of at least one click: ``1 - prod(1 - w(item))``.
+
+        The product runs in slate order, the order ``np.prod`` multiplies in.
+        """
+        weights = self.attractions
+        miss = 1.0
+        for item in self._validate_slate(ranked):
+            miss *= 1.0 - weights[item]
+        return float(1.0 - miss)
 
     def best_slate(self) -> list[int]:
         """Top ``slate_size`` items by attraction (stable, lowest index first)."""
@@ -279,7 +299,10 @@ def load_cascade_file(path) -> CascadeInstance:
             raise ValueError(f"{path}: item id {item} out of range")
         if attractions[item] >= 0:
             raise ValueError(f"{path}: duplicate record for item {item}")
-        attractions[item] = float(fields[1])
-    if np.any(attractions < 0.0) or np.any(attractions > 1.0):
-        raise ValueError(f"{path}: attractions must lie in [0, 1]")
+        weight = float(fields[1])
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(
+                f"{path}: attraction of item {item} must lie in [0, 1], "
+                f"got {weight}")
+        attractions[item] = weight
     return CascadeInstance(attractions=attractions, slate_size=slate)

@@ -8,6 +8,7 @@ and a variance that tracks the empirical variance of the observed rewards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class RewardPool:
         if count < 0:
             raise ValueError(f"draw count must be >= 0, got {count}")
         idx = rng.integers(0, self.values.size, size=count)
-        return self.values[idx]
+        return self.values.take(idx)
 
 
 def build_pool(rewards, alpha: float) -> RewardPool:
@@ -72,11 +73,14 @@ def build_pool(rewards, alpha: float) -> RewardPool:
         r = r.ravel()
     if r.size == 0:
         raise ValueError("cannot build a reward pool from an empty history")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    mean = float(r.mean())
-    centered = alpha * (r - mean)
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    # The pairwise sum ``r.mean()`` takes, without its wrapper code; the
+    # centred values go straight into the result, with no temporaries.
+    mean = float(np.add.reduce(r)) / r.size
     values = np.empty(2 * r.size, dtype=float)
-    values[0::2] = centered
-    values[1::2] = -centered
+    centered = values[0::2]
+    np.subtract(r, mean, out=centered)
+    np.multiply(alpha, centered, out=centered)
+    np.negative(centered, out=values[1::2])
     return RewardPool(values=values, alpha=float(alpha), source_mean=mean)

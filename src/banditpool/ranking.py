@@ -224,8 +224,9 @@ class BernoulliPHERanker(RankerPolicy):
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  a: float = 0.5, rng: np.random.Generator | None = None) -> None:
         super().__init__(n_items, slate_size, horizon)
-        if a <= 0:
-            raise ValueError(f"perturbation scale a must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(
+                f"perturbation scale a must be positive and finite, got {a}")
         self.a = float(a)
         self.rng = rng if rng is not None else np.random.default_rng()
 

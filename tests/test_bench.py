@@ -298,6 +298,7 @@ class TestParameterSweep:
     @pytest.mark.parametrize("grid, field", [
         ({"alpha": [0.6, -1.0], "z": [0.6]}, "sweep.alpha"),
         ({"alpha": [0.6], "z": [0.5, 1.0]}, "sweep.z"),
+        ({"alpha": [0.6, math.nan], "z": [0.6]}, "sweep.alpha"),
     ])
     def test_bad_grid_rejected_before_the_first_cell(self, tmp_path,
                                                      monkeypatch, grid, field):

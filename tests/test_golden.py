@@ -1,9 +1,11 @@
 """Golden-output gate: SHA-256 of the trace and aggregate CSVs of small runs.
 
 One config per experiment runs every agent kind ``make_agent`` accepts for
-it (n = 2000, 2 instances, fixed seed).  A change that leaves the RNG
-consumption and the arithmetic of every agent alone must leave each hash
-unchanged; a change that moves one has changed some run's output.
+it (n = 2000, 2 instances, fixed seed); the MAB agents also run on the
+Bernoulli and beta reward families, so every MAB family is gated.  A change
+that leaves the RNG consumption and the arithmetic of every agent alone must
+leave each hash unchanged; a change that moves one has changed some run's
+output.
 
 The hashes are tied to the numpy, scipy and BLAS/LAPACK builds they were
 recorded with (numpy 2.4.6, scipy 1.17.1, OpenBLAS on x86-64): a different
@@ -61,9 +63,16 @@ GOLDEN = {
                 "af2b74c3395135db2a5a5003b8e272db31e2432a9aa7bcbe6f13c3b12e1d90bf"),
 }
 
+MAB_FAMILY_GOLDEN = {
+    "bernoulli": ("238432240412e1bdb88dc0ef4097a3c1a1f514f356960ba9255799c284cd915c",
+                  "e067a0ccb7ee5025ce9657c34fee29620e1180af9f4552d48fcf47233c9bffb1"),
+    "beta": ("652d8eb3c888bfd57b65923737dca6fc48eed499f2236c5406f212c7fac5bc8b",
+             "004433d3cfa0517841e90f1b694c0c88f0409852a5dcd0623f092c70b78336f7"),
+}
 
-def digests(experiment: str, out_dir) -> tuple[str, str]:
-    config = RunConfig(experiment=experiment, env=ENVS[experiment],
+
+def digests(experiment: str, out_dir, env: dict | None = None) -> tuple[str, str]:
+    config = RunConfig(experiment=experiment, env=env or ENVS[experiment],
                        agents=AGENTS[experiment], horizon=HORIZON, instances=2,
                        runs=1, seed=SEED, out_dir=str(out_dir), stride=50)
     paths = run_experiment(config)
@@ -74,3 +83,9 @@ def digests(experiment: str, out_dir) -> tuple[str, str]:
 @pytest.mark.parametrize("experiment", sorted(GOLDEN))
 def test_csv_hashes_unchanged(experiment, tmp_path):
     assert digests(experiment, tmp_path) == GOLDEN[experiment]
+
+
+@pytest.mark.parametrize("family", sorted(MAB_FAMILY_GOLDEN))
+def test_mab_family_hashes_unchanged(family, tmp_path):
+    env = {**ENVS["mab"], "family": family}
+    assert digests("mab", tmp_path, env) == MAB_FAMILY_GOLDEN[family]
