@@ -151,10 +151,8 @@ class Agent:
     """Single-run sequential policy: ``select(t)`` then ``update(t, arm, y)``.
 
     Subclasses implement ``_choose`` and ``_learn``.  The base class enforces
-    the round protocol: rounds run 1, 2, ... in order, and every selection
-    must be answered by exactly one feedback call for the same round and
-    arm, with a finite reward.  Warm-up schedules rely on the order: round
-    ``t <= K`` of a round-robin finds arms ``0..t-2`` pulled.
+    the round protocol: every selection must be answered by exactly one
+    feedback call for the same round and arm, with a finite reward.
     """
 
     name = "agent"
@@ -167,17 +165,12 @@ class Agent:
         self.n_arms = int(n_arms)
         self.horizon = int(horizon)
         self._pending: tuple[int, int] | None = None
-        self._next_round = 1
 
     def select(self, t: int) -> int:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"round {t} outside [1, {self.horizon}]")
         if self._pending is not None:
             raise RuntimeError(f"round {self._pending[0]} still awaits feedback")
-        if t != self._next_round:
-            raise ValueError(
-                f"round {t} selected out of order; the next round is "
-                f"{self._next_round}")
         arm = self._choose(t)
         self._pending = (t, arm)
         return arm
@@ -192,7 +185,6 @@ class Agent:
             raise ValueError(
                 f"reward for round {t}, arm {arm} must be finite, got {reward}")
         self._pending = None
-        self._next_round = t + 1
         self._learn(t, arm, reward)
 
     def _choose(self, t: int) -> int:

@@ -46,8 +46,6 @@ def ucb1_index(mean, pulls, t):
     """Classic optimism index ``mean + sqrt(2 ln t / pulls)``; inf when unpulled."""
     mean = np.asarray(mean, dtype=float)
     pulls = np.asarray(pulls, dtype=float)
-    if pulls.all():
-        return _ucb1(mean, pulls, math.log(t))
     mean, pulls = np.broadcast_arrays(mean, pulls)
     seen = pulls > 0
     index = np.full(pulls.shape, np.inf)
@@ -63,8 +61,6 @@ def ucbv_index(mean, variance, pulls, t, range_bound=1.0):
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
     pulls = np.asarray(pulls, dtype=float)
-    if pulls.all():
-        return _ucbv(mean, variance, pulls, math.log(t), range_bound)
     mean, variance, pulls = np.broadcast_arrays(mean, variance, pulls)
     seen = pulls > 0
     index = np.full(pulls.shape, np.inf)
@@ -133,9 +129,24 @@ class _ArmStatsAgent(Agent):
         super().__init__(n_arms, horizon)
         self.pulls = np.zeros(n_arms, dtype=np.int64)
         self.totals = np.zeros(n_arms, dtype=float)
+        self._all_pulled = False
 
     def means(self) -> np.ndarray:
         return self.totals / np.maximum(self.pulls, 1)
+
+    def _unpulled_arm(self) -> int | None:
+        """The lowest-numbered arm never pulled, or ``None`` if there is none.
+
+        That is the arm a +inf index for unpulled arms selects.  Pull counts
+        never fall, so once every arm has been pulled the counts are not
+        scanned again.
+        """
+        if self._all_pulled:
+            return None
+        if self.pulls.all():
+            self._all_pulled = True
+            return None
+        return int(self.pulls.argmin())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         self.pulls[arm] += 1
@@ -145,27 +156,29 @@ class _ArmStatsAgent(Agent):
 class UCB1Agent(_ArmStatsAgent):
     """UCB1 (Auer, Cesa-Bianchi & Fischer, 2002).
 
-    Rounds ``1..K`` play arms ``0..K-1`` in turn: that is the arm the +inf
-    index of an unpulled arm selects when rounds run in order.  Later rounds
-    evaluate the index on arrays where every arm has been pulled.
+    While an arm is unpulled the agent plays the lowest-numbered such arm,
+    the one its +inf index would select; run in order, rounds ``1..K`` play
+    arms ``0..K-1``.  After that the index is evaluated on arrays where every
+    arm has been pulled.
     """
 
     name = "ucb1"
 
-    def indices(self, t: int) -> np.ndarray:
-        """The index of every arm at round ``t > K``."""
+    def _indices(self, t: int) -> np.ndarray:
+        """The index of every arm once every arm has been pulled."""
         return _ucb1(self.totals / self.pulls, self.pulls, math.log(t))
 
     def _choose(self, t: int) -> int:
-        if t <= self.n_arms:
-            return t - 1
-        return int(self.indices(t).argmax())
+        arm = self._unpulled_arm()
+        if arm is not None:
+            return arm
+        return int(self._indices(t).argmax())
 
 
 class UCBVAgent(_ArmStatsAgent):
     """UCB with empirical variance; needs a reward-range bound.
 
-    Plays arms ``0..K-1`` in rounds ``1..K``, as :class:`UCB1Agent` does.
+    Plays unpulled arms first, as :class:`UCB1Agent` does.
     """
 
     name = "ucbv"
@@ -182,16 +195,17 @@ class UCBVAgent(_ArmStatsAgent):
         counts = np.maximum(self.pulls, 1)
         return _clipped_variance(self._sumsq, self.totals / counts, counts)
 
-    def indices(self, t: int) -> np.ndarray:
-        """The index of every arm at round ``t > K``."""
+    def _indices(self, t: int) -> np.ndarray:
+        """The index of every arm once every arm has been pulled."""
         mean = self.totals / self.pulls
         variance = _clipped_variance(self._sumsq, mean, self.pulls)
         return _ucbv(mean, variance, self.pulls, math.log(t), self.range_bound)
 
     def _choose(self, t: int) -> int:
-        if t <= self.n_arms:
-            return t - 1
-        return int(self.indices(t).argmax())
+        arm = self._unpulled_arm()
+        if arm is not None:
+            return arm
+        return int(self._indices(t).argmax())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
