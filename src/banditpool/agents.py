@@ -71,23 +71,27 @@ def init_length(horizon: int, z: float, dims: int) -> int:
     return max(dims, math.ceil(4.0 * math.log(horizon) / denom + 1.0))
 
 
-def perturbed_mean_estimates(totals, pulls, noise_sums) -> np.ndarray:
-    """Per-arm estimates ``(V_i + U_i) / s_i`` with unpulled arms forced up.
+def perturbed_mean_estimates(totals, counts, noise, owners=None) -> np.ndarray:
+    """Per-owner estimates ``(V_i + U_i) / s_i`` with unseen owners forced up.
 
-    ``totals`` are cumulative rewards, ``pulls`` the pull counts, and
-    ``noise_sums`` the per-arm sums of pool draws.  Arms never pulled get
-    ``+inf`` so a greedy argmax selects them first (lowest index wins).
-    After the pool agent's warm-up every arm has been pulled, and the
-    estimates are computed without a mask.
+    ``totals`` are each owner's summed observations and ``counts`` the sizes
+    ``s_i`` of the estimates.  ``U_i`` sums the entries of ``noise`` whose
+    ``owners`` entry is ``i``; without ``owners``, ``noise`` already holds
+    those per-owner sums.  An owner with a zero count gets ``+inf`` so a
+    greedy argmax selects it first (lowest index wins).  Once every count is
+    positive, as after the pool agent's warm-up, no mask is built.
     """
     totals = np.asarray(totals, dtype=float)
-    pulls = np.asarray(pulls)
-    noise_sums = np.asarray(noise_sums, dtype=float)
-    if pulls.all():
-        return (totals + noise_sums) / pulls
+    counts = np.asarray(counts)
+    if owners is None:
+        sums = np.asarray(noise, dtype=float)
+    else:
+        sums = np.bincount(owners, weights=noise, minlength=totals.size)
+    if counts.all():
+        return (totals + sums) / counts
     est = np.full(totals.shape, np.inf)
-    seen = pulls > 0
-    est[seen] = (totals[seen] + noise_sums[seen]) / pulls[seen]
+    seen = counts > 0
+    est[seen] = (totals[seen] + sums[seen]) / counts[seen]
     return est
 
 
@@ -197,7 +201,38 @@ class Agent:
         return {}
 
 
-class RewardPoolAgent(Agent):
+class _ArmStatsAgent(Agent):
+    """Shared per-arm pull counts and reward totals."""
+
+    def __init__(self, n_arms: int, horizon: int) -> None:
+        super().__init__(n_arms, horizon)
+        self.pulls = np.zeros(n_arms, dtype=np.int64)
+        self.totals = np.zeros(n_arms, dtype=float)
+        self._all_pulled = False
+
+    def means(self) -> np.ndarray:
+        return self.totals / np.maximum(self.pulls, 1)
+
+    def _unpulled_arm(self) -> int | None:
+        """The lowest-numbered arm never pulled, or ``None`` if there is none.
+
+        That is the arm a +inf index for unpulled arms selects.  Pull counts
+        never fall, so once every arm has been pulled the counts are not
+        scanned again.
+        """
+        if self._all_pulled:
+            return None
+        if self.pulls.all():
+            self._all_pulled = True
+            return None
+        return int(self.pulls.argmin())
+
+    def _learn(self, t: int, arm: int, reward: float) -> None:
+        self.pulls[arm] += 1
+        self.totals[arm] += reward
+
+
+class RewardPoolAgent(_ArmStatsAgent):
     """Multi-armed bandit agent exploring via its own reward pool.
 
     After the warm-up, each round rebuilds the pool from all past rewards,
@@ -217,8 +252,6 @@ class RewardPoolAgent(Agent):
         self._rewards = np.empty(horizon, dtype=float)
         self._arms = np.empty(horizon, dtype=np.int64)
         self._seen = 0
-        self.pulls = np.zeros(n_arms, dtype=np.int64)
-        self.totals = np.zeros(n_arms, dtype=float)
 
     def current_pool(self) -> RewardPool:
         if self._seen == 0:
@@ -227,11 +260,9 @@ class RewardPoolAgent(Agent):
 
     def perturbed_estimates(self) -> np.ndarray:
         """Fresh pool-perturbed per-arm estimates (new draws every call)."""
-        pool = self.current_pool()
-        draws = pool.draw(self._seen, self.rng)
-        noise = np.bincount(self._arms[: self._seen], weights=draws,
-                            minlength=self.n_arms)
-        return perturbed_mean_estimates(self.totals, self.pulls, noise)
+        draws = self.current_pool().draw(self._seen, self.rng)
+        return perturbed_mean_estimates(self.totals, self.pulls, draws,
+                                        self._arms[: self._seen])
 
     def _choose(self, t: int) -> int:
         if t <= self.init_rounds:
@@ -239,11 +270,10 @@ class RewardPoolAgent(Agent):
         return int(self.perturbed_estimates().argmax())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
+        super()._learn(t, arm, reward)
         self._rewards[self._seen] = reward
         self._arms[self._seen] = arm
         self._seen += 1
-        self.pulls[arm] += 1
-        self.totals[arm] += reward
 
     def get_params(self) -> dict:
         return {"alpha": self.params.alpha, "z": self.params.z}

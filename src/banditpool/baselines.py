@@ -14,9 +14,11 @@ import numpy as np
 from .agents import (
     Agent,
     LinearModelState,
+    _ArmStatsAgent,
     _cholesky_factor,
     _cholesky_solve,
     best_arm,
+    perturbed_mean_estimates,
     ridge_solve,
 )
 
@@ -92,65 +94,9 @@ def phe_pseudo_counts(pulls, a) -> np.ndarray:
     return np.ceil(a * np.asarray(pulls, dtype=float)).astype(np.int64)
 
 
-def phe_combine(total, pulls, pseudo_values) -> float:
-    """Perturbed mean ``(V + sum(pseudo)) / (s + len(pseudo))``."""
-    pseudo_values = np.asarray(pseudo_values, dtype=float)
-    if pulls + pseudo_values.size == 0:
-        return math.inf
-    return float((total + pseudo_values.sum()) / (pulls + pseudo_values.size))
-
-
-def phe_estimate(total, pulls, a, pseudo_family: str,
-                 rng: np.random.Generator) -> float:
-    """Single-arm perturbed-history estimate with freshly drawn pseudo rewards.
-
-    ``bernoulli`` pseudo rewards are fair coins, ``gaussian`` ones are
-    ``N(0.5, 0.5^2)``.
-    """
-    count = int(phe_pseudo_counts(pulls, a)[()])
-    if pseudo_family == "bernoulli":
-        pseudo = rng.integers(0, 2, size=count).astype(float)
-    elif pseudo_family == "gaussian":
-        pseudo = rng.normal(0.5, 0.5, size=count)
-    else:
-        raise ValueError(f"unknown pseudo reward family {pseudo_family!r}")
-    return phe_combine(total, pulls, pseudo)
-
-
 # ---------------------------------------------------------------------------
 # Multi-armed agents
 # ---------------------------------------------------------------------------
-
-
-class _ArmStatsAgent(Agent):
-    """Shared per-arm pull counts and reward totals."""
-
-    def __init__(self, n_arms: int, horizon: int) -> None:
-        super().__init__(n_arms, horizon)
-        self.pulls = np.zeros(n_arms, dtype=np.int64)
-        self.totals = np.zeros(n_arms, dtype=float)
-        self._all_pulled = False
-
-    def means(self) -> np.ndarray:
-        return self.totals / np.maximum(self.pulls, 1)
-
-    def _unpulled_arm(self) -> int | None:
-        """The lowest-numbered arm never pulled, or ``None`` if there is none.
-
-        That is the arm a +inf index for unpulled arms selects.  Pull counts
-        never fall, so once every arm has been pulled the counts are not
-        scanned again.
-        """
-        if self._all_pulled:
-            return None
-        if self.pulls.all():
-            self._all_pulled = True
-            return None
-        return int(self.pulls.argmin())
-
-    def _learn(self, t: int, arm: int, reward: float) -> None:
-        self.pulls[arm] += 1
-        self.totals[arm] += reward
 
 
 class UCB1Agent(_ArmStatsAgent):
@@ -291,16 +237,17 @@ class _PHEAgent(_ArmStatsAgent):
             return self.rng.integers(0, 2, size=count).astype(float)
         return self.rng.normal(0.5, 0.5, size=count)
 
-    def _choose(self, t: int) -> int:
+    def _estimates(self) -> np.ndarray:
+        """Fresh per-arm means over the rewards plus ``ceil(a s_i)`` new pseudo
+        rewards per arm."""
         counts = phe_pseudo_counts(self.pulls, self.a)
         pseudo = self._draw_pseudo(int(counts.sum()))
-        owner = np.repeat(np.arange(self.n_arms), counts)
-        pseudo_sums = np.bincount(owner, weights=pseudo, minlength=self.n_arms)
-        denom = self.pulls + counts
-        est = np.full(self.n_arms, np.inf)
-        seen = denom > 0
-        est[seen] = (self.totals[seen] + pseudo_sums[seen]) / denom[seen]
-        return int(np.argmax(est))
+        owners = np.repeat(np.arange(self.n_arms), counts)
+        return perturbed_mean_estimates(self.totals, self.pulls + counts,
+                                        pseudo, owners)
+
+    def _choose(self, t: int) -> int:
+        return int(np.argmax(self._estimates()))
 
     def get_params(self) -> dict:
         return {"a": self.a}

@@ -22,6 +22,7 @@ import configparser
 import csv
 import dataclasses
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +81,13 @@ class RunConfig:
         names = [a.name for a in self.agents]
         if len(set(names)) != len(names):
             raise ConfigError("agent.*: agent names must be unique")
+        for spec in self.agents:
+            # A kind the table lacks is reported where the agent is built.
+            entry = AGENTS.get((self.experiment, spec.kind))
+            for key in spec.params:
+                if entry is not None and key not in entry.params:
+                    raise _unknown_field(f"agent.{spec.name}", key,
+                                         self.experiment, spec.kind)
 
 
 @dataclass(frozen=True)
@@ -128,12 +136,6 @@ _RUN_FIELD_TYPES = {
     "out_dir": str, "stride": int, "workers": int,
 }
 
-_AGENT_PARAM_TYPES = {
-    "alpha": float, "z": float, "lambda": float, "auto_ridge": bool,
-    "a": float, "sigma": float, "sigma_ts": float, "prior_mean": float,
-    "c": float, "b": float, "pseudo": str,
-}
-
 _ENV_PARAM_TYPES = {
     "family": str, "K": int, "d": int, "v": float, "sigma": float,
     "L": int, "low": float, "high": float, "queries_dir": str,
@@ -176,11 +178,15 @@ def parse_config(path) -> RunConfig:
         name = section[len("agent."):]
         if not name:
             raise ConfigError(f"{section}: agent name must be non-empty")
-        params = _section_dict(parser, section,
-                               {"kind": str, **_AGENT_PARAM_TYPES})
+        params = dict(parser.items(section))
         kind = params.pop("kind", None)
         if kind is None:
             raise ConfigError(f"{section}.kind: missing required field")
+        # Keys the kind reads take its types; any other key stays a string
+        # for RunConfig to reject.
+        types = AGENTS.get((run["experiment"], kind), AgentEntry(None, {})).params
+        params = {key: _coerce(raw, f"{section}.{key}", types[key][0])
+                  if key in types else raw for key, raw in params.items()}
         agent_specs.append(AgentSpec(name=name, kind=kind, params=params))
 
     sweep = None
@@ -276,72 +282,78 @@ def make_env(config: RunConfig, instance: int):
         low=_env_field(config, "low", 0.1), high=_env_field(config, "high", 0.7))
 
 
-def _pool_params(params: dict) -> agents_mod.PoolParams:
-    return agents_mod.PoolParams(
-        alpha=params.get("alpha", 0.6),
-        z=params.get("z", 0.6),
-        ridge_lambda=params.get("lambda", 1.0),
-        auto_ridge=params.get("auto_ridge", False))
+# One entry per (experiment, kind): ``factory(env, horizon, rng, values)``
+# builds the agent, and ``params`` maps each config key the factory reads to
+# ``(type, default)``, where a callable default is a function of the env.
+# ``make_agent`` passes every key in ``values``, as configured or defaulted.
+AgentEntry = namedtuple("AgentEntry", "factory params")
+
+_POOL_KEYS = {"alpha": (float, 0.6), "z": (float, 0.6)}
+_LAMBDA = {"lambda": (float, 1.0)}
+
+AGENTS = {
+    ("mab", "pool"): AgentEntry(lambda env, n, rng, p: agents_mod.RewardPoolAgent(
+        env.n_arms, n, agents_mod.PoolParams(p["alpha"], p["z"]), rng), _POOL_KEYS),
+    ("mab", "ucb1"): AgentEntry(lambda env, n, rng, p: baselines.UCB1Agent(
+        env.n_arms, n), {}),
+    ("mab", "ucbv"): AgentEntry(lambda env, n, rng, p: baselines.UCBVAgent(
+        env.n_arms, n, p["b"]), {"b": (float, lambda env: (
+            1.0 + 4.0 * env.sigma if env.family == "gaussian" else 1.0))}),
+    ("mab", "bern_ts"): AgentEntry(lambda env, n, rng, p: baselines.BernoulliTSAgent(
+        env.n_arms, n, rng), {}),
+    ("mab", "gauss_ts"): AgentEntry(lambda env, n, rng, p: baselines.GaussianTSAgent(
+        env.n_arms, n, p["sigma"], p["prior_mean"], rng),
+        {"sigma": (float, lambda env: env.sigma if env.family == "gaussian" else 0.5),
+         "prior_mean": (float, 0.5)}),
+    ("mab", "bern_phe"): AgentEntry(lambda env, n, rng, p: baselines.BernoulliPHEAgent(
+        env.n_arms, n, p["a"], rng), {"a": (float, 1.0)}),
+    ("mab", "gauss_phe"): AgentEntry(lambda env, n, rng, p: baselines.GaussianPHEAgent(
+        env.n_arms, n, p["a"], rng), {"a": (float, 1.0)}),
+    ("linear", "pool"): AgentEntry(lambda env, n, rng, p: agents_mod.LinRewardPoolAgent(
+        env.features, n, agents_mod.PoolParams(
+            p["alpha"], p["z"], p["lambda"], p["auto_ridge"]), rng),
+        {**_POOL_KEYS, **_LAMBDA, "auto_ridge": (bool, False)}),
+    ("linear", "linucb"): AgentEntry(lambda env, n, rng, p: baselines.LinUCBAgent(
+        env.features, n, p["c"], p["lambda"]), {"c": (float, 1.0), **_LAMBDA}),
+    ("linear", "lints"): AgentEntry(lambda env, n, rng, p: baselines.LinTSAgent(
+        env.features, n, p["sigma_ts"], p["lambda"], rng),
+        {"sigma_ts": (float, 1.0), **_LAMBDA}),
+    ("linear", "linphe"): AgentEntry(lambda env, n, rng, p: baselines.LinPHEAgent(
+        env.features, n, p["a"], p["pseudo"], p["lambda"], rng),
+        {"a": (float, 1.0), "pseudo": (str, lambda env: (
+            "gaussian" if env.family == "gaussian" else "bernoulli")), **_LAMBDA}),
+    ("ranking", "pool"): AgentEntry(lambda env, n, rng, p: ranking.RewardPoolRanker(
+        env.n_items, env.slate_size, n, agents_mod.PoolParams(p["alpha"]), rng),
+        {"alpha": (float, 0.6)}),
+    ("ranking", "klucb"): AgentEntry(lambda env, n, rng, p: ranking.KLUCBRanker(
+        env.n_items, env.slate_size, n), {}),
+    ("ranking", "bern_ts"): AgentEntry(lambda env, n, rng, p: ranking.BernoulliTSRanker(
+        env.n_items, env.slate_size, n, rng), {}),
+    ("ranking", "bern_phe"): AgentEntry(lambda env, n, rng, p: ranking.BernoulliPHERanker(
+        env.n_items, env.slate_size, n, p["a"], rng), {"a": (float, 0.5)}),
+}
+
+
+def _unknown_field(path: str, key: str, experiment: str, kind: str) -> ConfigError:
+    expected = ", ".join(AGENTS[experiment, kind].params) or "(none)"
+    return ConfigError(
+        f"{path}.{key}: unknown field for kind {kind!r} in experiment "
+        f"{experiment!r}; expected one of {expected}")
 
 
 def make_agent(spec: AgentSpec, config: RunConfig, env,
                rng: np.random.Generator):
     """Instantiate the policy named by ``spec`` for one run."""
-    kind, params = spec.kind, spec.params
-    horizon = config.horizon
-    if config.experiment == "mab":
-        n_arms = env.n_arms
-        if kind == "pool":
-            return agents_mod.RewardPoolAgent(n_arms, horizon, _pool_params(params), rng)
-        if kind == "ucb1":
-            return baselines.UCB1Agent(n_arms, horizon)
-        if kind == "ucbv":
-            default_b = 1.0 + 4.0 * env.sigma if env.family == "gaussian" else 1.0
-            return baselines.UCBVAgent(n_arms, horizon, params.get("b", default_b))
-        if kind == "bern_ts":
-            return baselines.BernoulliTSAgent(n_arms, horizon, rng)
-        if kind == "gauss_ts":
-            default_sigma = env.sigma if env.family == "gaussian" else 0.5
-            return baselines.GaussianTSAgent(
-                n_arms, horizon, params.get("sigma", default_sigma),
-                params.get("prior_mean", 0.5), rng)
-        if kind == "bern_phe":
-            return baselines.BernoulliPHEAgent(n_arms, horizon, params.get("a", 1.0), rng)
-        if kind == "gauss_phe":
-            return baselines.GaussianPHEAgent(n_arms, horizon, params.get("a", 1.0), rng)
-    elif config.experiment == "linear":
-        if kind == "pool":
-            return agents_mod.LinRewardPoolAgent(env.features, horizon,
-                                                 _pool_params(params), rng)
-        if kind == "linucb":
-            return baselines.LinUCBAgent(env.features, horizon,
-                                         params.get("c", 1.0),
-                                         params.get("lambda", 1.0))
-        if kind == "lints":
-            return baselines.LinTSAgent(env.features, horizon,
-                                        params.get("sigma_ts", 1.0),
-                                        params.get("lambda", 1.0), rng)
-        if kind == "linphe":
-            default_pseudo = "gaussian" if env.family == "gaussian" else "bernoulli"
-            return baselines.LinPHEAgent(env.features, horizon,
-                                         params.get("a", 1.0),
-                                         params.get("pseudo", default_pseudo),
-                                         params.get("lambda", 1.0), rng)
-    else:
-        n_items, slate = env.n_items, env.slate_size
-        if kind == "pool":
-            return ranking.RewardPoolRanker(n_items, slate, horizon,
-                                            _pool_params(params), rng)
-        if kind == "klucb":
-            return ranking.KLUCBRanker(n_items, slate, horizon)
-        if kind == "bern_ts":
-            return ranking.BernoulliTSRanker(n_items, slate, horizon, rng)
-        if kind == "bern_phe":
-            return ranking.BernoulliPHERanker(n_items, slate, horizon,
-                                              params.get("a", 0.5), rng)
-    raise ConfigError(
-        f"agent.{spec.name}.kind: {kind!r} is not valid for "
-        f"experiment {config.experiment!r}")
+    entry = AGENTS.get((config.experiment, spec.kind))
+    if entry is None:
+        kinds = ", ".join(k for e, k in AGENTS if e == config.experiment)
+        raise ConfigError(
+            f"agent.{spec.name}.kind: {spec.kind!r} is not valid for "
+            f"experiment {config.experiment!r}; expected one of {kinds}")
+    values = {key: spec.params[key] if key in spec.params
+              else default(env) if callable(default) else default
+              for key, (_, default) in entry.params.items()}
+    return entry.factory(env, config.horizon, rng, values)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +415,19 @@ def _execute_task(args) -> RunResult:
 
 
 def collect_runs(config: RunConfig) -> list[RunResult]:
-    """Execute every (instance, agent, run) combination, sorted for determinism."""
+    """Execute every (instance, agent, run) combination, sorted for determinism.
+
+    Every agent is first built once on instance 0 with a throwaway generator,
+    so a bad agent value fails, naming the agent, before any task runs.
+    """
+    env = make_env(config, 0)
+    for spec in config.agents:
+        try:
+            make_agent(spec, config, env, np.random.default_rng(0))
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"agent.{spec.name}: {exc}") from exc
     tasks = [(config, instance, spec, run)
              for instance in range(config.instances)
              for spec in config.agents
@@ -506,9 +530,11 @@ def parameter_sweep(config: RunConfig) -> list[dict]:
         raise ConfigError(
             f"sweep.agent: {target!r} has kind {spec.kind!r}, which takes "
             "no alpha or z; the sweep needs a pool agent")
-    # Every cell is checked before the first one runs, so a bad value late
-    # in a grid cannot fail the sweep after the earlier cells' work.
+    # Every axis and cell is checked before the first one runs, so a bad
+    # value late in a grid cannot fail the sweep after the earlier cells' work.
     for axis in ("alpha", "z"):
+        if axis not in AGENTS[config.experiment, spec.kind].params:
+            raise _unknown_field("sweep", axis, config.experiment, spec.kind)
         for value in config.sweep[axis]:
             try:
                 agents_mod.PoolParams(**{axis: value})

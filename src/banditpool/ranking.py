@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .agents import PoolParams, perturbed_mean_estimates
+from .baselines import phe_pseudo_counts
 from .envs import CascadeInstance
 from .pool import build_pool
-from .agents import PoolParams
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -231,15 +232,12 @@ class BernoulliPHERanker(RankerPolicy):
         self.rng = rng if rng is not None else np.random.default_rng()
 
     def _scores(self, t: int) -> np.ndarray:
-        counts = np.ceil(self.a * self.stats.observations).astype(np.int64)
+        counts = phe_pseudo_counts(self.stats.observations, self.a)
         pseudo = self.rng.integers(0, 2, size=int(counts.sum())).astype(float)
-        owner = np.repeat(np.arange(self.n_items), counts)
-        pseudo_sums = np.bincount(owner, weights=pseudo, minlength=self.n_items)
-        denom = self.stats.observations + counts
-        scores = np.full(self.n_items, np.inf)
-        seen = denom > 0
-        scores[seen] = (self.stats.clicks[seen] + pseudo_sums[seen]) / denom[seen]
-        return scores
+        owners = np.repeat(np.arange(self.n_items), counts)
+        return perturbed_mean_estimates(self.stats.clicks,
+                                        self.stats.observations + counts,
+                                        pseudo, owners)
 
     def get_params(self) -> dict:
         return {"a": self.a}
@@ -269,17 +267,13 @@ class RewardPoolRanker(RankerPolicy):
         self._seen = 0
 
     def _scores(self, t: int) -> np.ndarray:
-        scores = np.full(self.n_items, np.inf)
-        observed = self.stats.observations > 0
-        if self._seen == 0 or not observed.any():
-            return scores
+        if self._seen == 0:
+            return np.full(self.n_items, np.inf)
         pool = build_pool(self._values[: self._seen], self.params.alpha)
         draws = pool.draw(self._seen, self.rng)
-        noise = np.bincount(self._items[: self._seen], weights=draws,
-                            minlength=self.n_items)
-        scores[observed] = ((self.stats.clicks[observed] + noise[observed])
-                            / self.stats.observations[observed])
-        return scores
+        return perturbed_mean_estimates(self.stats.clicks,
+                                        self.stats.observations, draws,
+                                        self._items[: self._seen])
 
     def _learn(self, ranked, click_pos: int | None) -> None:
         examined = len(ranked) if click_pos is None else click_pos + 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from banditpool.agents import LinearModelState
+from banditpool.agents import LinearModelState, perturbed_mean_estimates
 from banditpool.baselines import (
     BernoulliPHEAgent,
     BernoulliTSAgent,
@@ -22,8 +22,6 @@ from banditpool.baselines import (
     linphe_fit,
     lints_sample,
     linucb_scores,
-    phe_combine,
-    phe_estimate,
     phe_pseudo_counts,
     ucb1_index,
     ucbv_index,
@@ -114,29 +112,41 @@ class TestGaussTSSample:
 
 
 class TestPHE:
+    """Perturbed-history estimates, through the shared per-owner helper and
+    the agents that call it."""
+
     def test_combine_hand_example(self):
-        assert phe_combine(2.0, 2, [1.0, 0.0]) == pytest.approx(0.75)
+        """V = 2 over 2 pulls plus pseudo rewards 1 and 0: (2 + 1) / 4."""
+        est = perturbed_mean_estimates([2.0], [2 + 2], [1.0, 0.0], [0, 0])
+        assert est[0] == pytest.approx(0.75)
 
     def test_no_pseudo_rewards_gives_plain_mean(self):
-        assert phe_combine(2.0, 4, []) == pytest.approx(0.5)
+        est = perturbed_mean_estimates([2.0], [4], np.empty(0),
+                                       np.empty(0, dtype=np.int64))
+        assert est[0] == pytest.approx(0.5)
         assert phe_pseudo_counts(0, 1.0) == 0
 
     def test_pseudo_counts_round_up(self):
         np.testing.assert_array_equal(phe_pseudo_counts([1, 2, 3], 0.5), [1, 1, 2])
 
     def test_estimate_expectation(self):
-        """E[estimate] = (V + ceil(a s)/2) / (s + ceil(a s)) over pseudo draws."""
-        rng = np.random.default_rng(6)
+        """E[estimate] = (V + ceil(a s)/2) / (s + ceil(a s)) over pseudo draws.
+
+        1000 arms share the same pulls and total, so each call of the agent's
+        estimate gives 1000 independent draws.
+        """
         total, pulls, a = 3.0, 4, 1.0
-        draws = np.array([phe_estimate(total, pulls, a, "bernoulli", rng)
-                          for _ in range(100_000)])
+        agent = BernoulliPHEAgent(1000, 10, a=a, rng=np.random.default_rng(6))
+        agent.pulls[:] = pulls
+        agent.totals[:] = total
+        draws = np.concatenate([agent._estimates() for _ in range(100)])
         expected = (total + 4 * 0.5) / (pulls + 4)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expected) < 4 * se
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            phe_estimate(1.0, 1, 1.0, "laplace", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="laplace"):
+            LinPHEAgent(np.eye(2), 10, pseudo_family="laplace")
 
 
 class TestLinearPrimitives:

@@ -99,7 +99,10 @@ class TestParseConfig:
     def test_unknown_kind_rejected_at_build(self, tmp_path):
         body = BASE_CONFIG.replace("kind = ucb1", "kind = oracle")
         config = parse_config(write_config(tmp_path, text=body))
-        with pytest.raises(ConfigError, match="agent.ucb1.kind"):
+        with pytest.raises(ConfigError, match=(
+                "^agent.ucb1.kind: 'oracle' is not valid for experiment 'mab'; "
+                "expected one of pool, ucb1, ucbv, bern_ts, gauss_ts, "
+                "bern_phe, gauss_phe$")):
             collect_runs(config)
 
     def test_sweep_section(self, tmp_path):
@@ -134,6 +137,74 @@ class TestParseConfig:
         assert [a.kind for a in config.agents] == ["pool", "ucb1", "ucbv"]
         assert config.stride == 10 and config.workers == 1
         assert config.sweep == {"alpha": [0.4, 0.6, 0.8], "z": [0.5, 0.6, 0.7]}
+
+    def test_readme_agent_table_lists_the_table_keys(self):
+        """The README's kinds-and-keys table matches ``bench.AGENTS``."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.*) \|$", readme, re.M)
+        listed = {(experiment, kind): set(re.findall(r"`(\w+)`", keys))
+                  for experiment, kind, keys in rows}
+        assert listed == {key: set(entry.params)
+                          for key, entry in bench.AGENTS.items()}
+
+
+def foreign_key(experiment, kind):
+    """A key some other kind reads but ``kind`` does not."""
+    return next(key for entry in bench.AGENTS.values() for key in entry.params
+                if key not in bench.AGENTS[experiment, kind].params)
+
+
+class TestAgentKeys:
+    def test_key_of_another_kind_rejected_with_the_kinds_keys(self, tmp_path):
+        body = BASE_CONFIG.replace("z = 0.6", "z = 0.6\nc = 2")
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, text=body))
+        assert str(info.value) == (
+            "agent.pool.c: unknown field for kind 'pool' in experiment 'mab'; "
+            "expected one of alpha, z")
+
+    @pytest.mark.parametrize("experiment, kind", sorted(bench.AGENTS))
+    def test_every_kind_rejects_a_foreign_key(self, tmp_path, experiment, kind):
+        key = foreign_key(experiment, kind)
+        field = f"^agent.a.{key}: unknown field for kind '{kind}' in experiment "
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nexperiment = {experiment}\nn = 10\n"
+                        f"instances = 1\nruns = 1\nseed = 1\nout_dir = out\n"
+                        f"[env]\n[agent.a]\nkind = {kind}\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(small_config(tmp_path), experiment=experiment,
+                                agents=(AgentSpec("a", kind, {key: 1.0}),))
+
+    def test_keys_typed_by_kind(self, tmp_path):
+        body = BASE_CONFIG.replace("[agent.ucb1]\nkind = ucb1", (
+            "[agent.ucbv]\nkind = ucbv\nb = 2\n"
+            "[agent.gauss_ts]\nkind = gauss_ts\nprior_mean = 1"))
+        config = parse_config(write_config(tmp_path, text=body))
+        assert [spec.params for spec in config.agents] == [
+            {"alpha": 0.6, "z": 0.6}, {"b": 2.0}, {"prior_mean": 1.0}]
+
+    @pytest.mark.parametrize("line, field", [
+        ("alpha = nan", "^agent.pool: alpha must be positive and finite"),
+        ("lambda = 5", "^agent.pool.lambda: unknown field"),
+        ("c = 2", "^agent.pool.c: unknown field"),
+    ])
+    def test_bad_agent_fails_before_the_first_task(self, tmp_path, monkeypatch,
+                                                   line, field):
+        """A bad value in a later agent section stops the run before any
+        task of an earlier agent runs, and no CSV is written."""
+        def no_task(*args):
+            raise AssertionError("a task ran before every agent was checked")
+
+        body = BASE_CONFIG.replace(
+            "[agent.pool]\nkind = pool\nalpha = 0.6\nz = 0.6\n", "")
+        body += f"\n[agent.pool]\nkind = pool\n{line}\n"
+        path = write_config(tmp_path, text=body)
+        monkeypatch.setattr(bench, "execute_run", no_task)
+        with pytest.raises(ConfigError, match=field):
+            cli.main(["run", str(path)])
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeeding:
@@ -309,6 +380,21 @@ class TestParameterSweep:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             parameter_sweep(small_config(tmp_path, sweep=grid))
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_axis_the_target_does_not_read_rejected(self, tmp_path,
+                                                    monkeypatch):
+        def no_cell(config):
+            raise AssertionError("a sweep cell ran before the grid was checked")
+
+        config = small_config(
+            tmp_path, experiment="ranking", env={"L": 6, "K": 2},
+            agents=(AgentSpec("pool", "pool", {}),),
+            sweep={"alpha": [0.6], "z": [0.6]})
+        monkeypatch.setattr(bench, "collect_runs", no_cell)
+        with pytest.raises(ConfigError, match=(
+                "^sweep.z: unknown field for kind 'pool' in experiment "
+                "'ranking'; expected one of alpha$")):
+            parameter_sweep(config)
 
     def test_sweep_target_must_be_a_pool_agent(self, tmp_path):
         config = small_config(

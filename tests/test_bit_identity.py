@@ -1,10 +1,13 @@
-"""The MAB round's rewritten formulas against reference copies of the old ones.
+"""Rewritten formulas against reference copies of the old ones.
 
 ``build_pool``, ``perturbed_mean_estimates``, the UCB1 and UCB-V indices and
 ``CascadeInstance.expected_clicks`` were rewritten to drop masks and
-temporaries.  Each reference below is the expression they replaced; the new
-code must give the same bits on every input, since the golden CSV hashes of
-``tests/test_golden.py`` depend on it.
+temporaries, and the four per-owner perturbed means (the MAB pool agent, the
+pool ranker, the PHE agents and the PHE ranker) now call
+``perturbed_mean_estimates`` instead of summing their noise inline.  Each
+reference below is the expression the code replaced; the new code must give
+the same bits on every input, since the golden CSV hashes of
+``tests/test_golden.py`` depend on it and cannot see a last-bit change.
 """
 
 import math
@@ -14,10 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from banditpool.agents import perturbed_mean_estimates
-from banditpool.baselines import UCB1Agent, UCBVAgent, ucb1_index, ucbv_index
+from banditpool.agents import PoolParams, RewardPoolAgent, perturbed_mean_estimates
+from banditpool.baselines import (
+    BernoulliPHEAgent,
+    GaussianPHEAgent,
+    UCB1Agent,
+    UCBVAgent,
+    ucb1_index,
+    ucbv_index,
+)
 from banditpool.envs import CascadeInstance, MabInstance
 from banditpool.pool import build_pool
+from banditpool.ranking import BernoulliPHERanker, RewardPoolRanker, cascade_update
 
 
 def reference_pool_values(rewards, alpha):
@@ -112,6 +123,138 @@ class TestPerturbedMeanEstimates:
         for counts in (pulls, np.maximum(pulls, 1)):
             assert np.array_equal(perturbed_mean_estimates(totals, counts, noise),
                                   reference_estimates(totals, counts, noise))
+
+
+def reference_pool_agent_estimates(agent):
+    """``RewardPoolAgent.perturbed_estimates`` with its old inline noise sum."""
+    pool = agent.current_pool()
+    draws = pool.draw(agent._seen, agent.rng)
+    noise = np.bincount(agent._arms[: agent._seen], weights=draws,
+                        minlength=agent.n_arms)
+    return reference_estimates(agent.totals, agent.pulls, noise)
+
+
+def reference_phe_estimates(agent):
+    """The estimates ``_PHEAgent._choose`` took the argmax of."""
+    counts = np.ceil(agent.a * np.asarray(agent.pulls, dtype=float)).astype(np.int64)
+    pseudo = agent._draw_pseudo(int(counts.sum()))
+    owner = np.repeat(np.arange(agent.n_arms), counts)
+    pseudo_sums = np.bincount(owner, weights=pseudo, minlength=agent.n_arms)
+    denom = agent.pulls + counts
+    est = np.full(agent.n_arms, np.inf)
+    seen = denom > 0
+    est[seen] = (agent.totals[seen] + pseudo_sums[seen]) / denom[seen]
+    return est
+
+
+def reference_pool_ranker_scores(ranker):
+    scores = np.full(ranker.n_items, np.inf)
+    observed = ranker.stats.observations > 0
+    if ranker._seen == 0 or not observed.any():
+        return scores
+    pool = build_pool(ranker._values[: ranker._seen], ranker.params.alpha)
+    draws = pool.draw(ranker._seen, ranker.rng)
+    noise = np.bincount(ranker._items[: ranker._seen], weights=draws,
+                        minlength=ranker.n_items)
+    scores[observed] = ((ranker.stats.clicks[observed] + noise[observed])
+                        / ranker.stats.observations[observed])
+    return scores
+
+
+def reference_phe_ranker_scores(ranker):
+    counts = np.ceil(ranker.a * ranker.stats.observations).astype(np.int64)
+    pseudo = ranker.rng.integers(0, 2, size=int(counts.sum())).astype(float)
+    owner = np.repeat(np.arange(ranker.n_items), counts)
+    pseudo_sums = np.bincount(owner, weights=pseudo, minlength=ranker.n_items)
+    denom = ranker.stats.observations + counts
+    scores = np.full(ranker.n_items, np.inf)
+    seen = denom > 0
+    scores[seen] = (ranker.stats.clicks[seen] + pseudo_sums[seen]) / denom[seen]
+    return scores
+
+
+def same_draws(new, old, owner):
+    """``new()`` and ``old(owner)`` from the same generator state."""
+    state = owner.rng.bit_generator.state
+    first = new()
+    owner.rng.bit_generator.state = state
+    return first, old(owner)
+
+
+@st.composite
+def any_arm_histories(draw):
+    """(K, arms, rewards), where some arms may never be pulled."""
+    k = draw(st.integers(1, 8))
+    arms = draw(st.lists(st.integers(0, k - 1), max_size=60))
+    rewards = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(arms),
+                            max_size=len(arms)))
+    return k, arms, rewards
+
+
+@st.composite
+def cascade_histories(draw):
+    """(items, slate size, rounds of (slate, click position or None))."""
+    n_items = draw(st.integers(1, 8))
+    size = draw(st.integers(1, n_items))
+    rounds = draw(st.lists(st.tuples(
+        st.permutations(range(n_items)),
+        st.one_of(st.none(), st.integers(0, size - 1))), max_size=30))
+    return n_items, size, [(order[:size], click) for order, click in rounds]
+
+
+def fed_ranker(ranker, rounds):
+    """``ranker`` after the cascade feedback of ``rounds``, in order."""
+    for slate, click in rounds:
+        cascade_update(ranker.stats, slate, click)
+        ranker._learn(slate, click)
+    return ranker
+
+
+class TestPerOwnerCallSites:
+    """Each caller of the per-owner helper against its old inline code."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(any_arm_histories(), alphas, st.integers(0, 2**32))
+    def test_pool_agent(self, history, alpha, seed):
+        k, arms, rewards = history
+        agent = fed(RewardPoolAgent(k, len(arms) + 2, PoolParams(alpha=alpha),
+                                    np.random.default_rng(seed)), arms, rewards)
+        if arms:
+            new, old = same_draws(agent.perturbed_estimates,
+                                  reference_pool_agent_estimates, agent)
+            assert np.array_equal(new, old)
+
+    @settings(deadline=None, max_examples=200)
+    @given(any_arm_histories(), st.floats(0.01, 5.0), st.integers(0, 2**32),
+           st.sampled_from([BernoulliPHEAgent, GaussianPHEAgent]))
+    def test_phe_agents(self, history, a, seed, cls):
+        k, arms, rewards = history
+        agent = fed(cls(k, len(arms) + 1, a, np.random.default_rng(seed)),
+                    arms, rewards)
+        new, old = same_draws(agent._estimates, reference_phe_estimates, agent)
+        assert np.array_equal(new, old)
+
+    @settings(deadline=None, max_examples=200)
+    @given(cascade_histories(), alphas, st.integers(0, 2**32))
+    def test_pool_ranker(self, history, alpha, seed):
+        n_items, size, rounds = history
+        ranker = fed_ranker(RewardPoolRanker(
+            n_items, size, len(rounds) + 1, PoolParams(alpha=alpha),
+            np.random.default_rng(seed)), rounds)
+        new, old = same_draws(lambda: ranker._scores(1),
+                              reference_pool_ranker_scores, ranker)
+        assert np.array_equal(new, old)
+
+    @settings(deadline=None, max_examples=200)
+    @given(cascade_histories(), st.floats(0.01, 5.0), st.integers(0, 2**32))
+    def test_phe_ranker(self, history, a, seed):
+        n_items, size, rounds = history
+        ranker = fed_ranker(BernoulliPHERanker(
+            n_items, size, len(rounds) + 1, a, np.random.default_rng(seed)),
+            rounds)
+        new, old = same_draws(lambda: ranker._scores(1),
+                              reference_phe_ranker_scores, ranker)
+        assert np.array_equal(new, old)
 
 
 class TestUCBIndices:
