@@ -45,7 +45,6 @@ from .ranking import (
     cascade_update,
     klucb_index,
     rank_topk,
-    ranking_regret,
 )
 from .bench import RunConfig, AgentSpec, parse_config, parameter_sweep, run_experiment
 from .theory import CheckReport, default_checks, write_check_report

@@ -152,14 +152,14 @@ def best_arm(features: np.ndarray, theta: np.ndarray) -> int:
 
 
 class Agent:
-    """Single-run sequential policy: ``select(t)`` then ``update(t, arm, y)``.
+    """Single-run sequential policy: ``select(t)`` then ``update(t, action, feedback)``.
 
     Subclasses implement ``_choose`` and ``_learn``.  The base class enforces
     the round protocol: every selection must be answered by exactly one
-    feedback call for the same round and arm, with a finite reward.
+    feedback call for the same round and action.  Feedback that
+    ``_check_feedback`` rejects (here, a reward that is not finite) leaves the
+    round pending.  Rankers (:mod:`banditpool.ranking`) play slates instead.
     """
-
-    name = "agent"
 
     def __init__(self, n_arms: int, horizon: int) -> None:
         if n_arms < 1:
@@ -168,33 +168,43 @@ class Agent:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.n_arms = int(n_arms)
         self.horizon = int(horizon)
-        self._pending: tuple[int, int] | None = None
+        self._pending: tuple[int, object] | None = None
 
-    def select(self, t: int) -> int:
+    def select(self, t: int):
         if not 1 <= t <= self.horizon:
             raise ValueError(f"round {t} outside [1, {self.horizon}]")
         if self._pending is not None:
             raise RuntimeError(f"round {self._pending[0]} still awaits feedback")
-        arm = self._choose(t)
-        self._pending = (t, arm)
-        return arm
+        action = self._choose(t)
+        self._pending = (t, self._key(action))
+        return action
 
-    def update(self, t: int, arm: int, reward: float) -> None:
-        if self._pending != (t, arm):
+    def update(self, t: int, action, feedback) -> None:
+        if self._pending != (t, self._key(action)):
             raise RuntimeError(
-                f"feedback for round {t}, arm {arm} does not match the "
+                f"feedback for round {t}, action {action} does not match the "
                 f"pending selection {self._pending}")
+        feedback = self._check_feedback(t, action, feedback)
+        self._pending = None
+        self._learn(t, action, feedback)
+
+    @staticmethod
+    def _key(action):
+        """``action`` as ``_pending`` holds it."""
+        return action
+
+    def _check_feedback(self, t: int, arm: int, reward) -> float:
+        """The reward as a float; ``ValueError`` unless it is finite."""
         reward = float(reward)
         if not math.isfinite(reward):
             raise ValueError(
                 f"reward for round {t}, arm {arm} must be finite, got {reward}")
-        self._pending = None
-        self._learn(t, arm, reward)
+        return reward
 
-    def _choose(self, t: int) -> int:
+    def _choose(self, t: int):
         raise NotImplementedError
 
-    def _learn(self, t: int, arm: int, reward: float) -> None:
+    def _learn(self, t: int, action, feedback) -> None:
         raise NotImplementedError
 
     def get_params(self) -> dict:
@@ -239,8 +249,6 @@ class RewardPoolAgent(_ArmStatsAgent):
     draws one fresh pool value per past observation, sums the draws per arm,
     and plays the argmax of ``(V_i + U_i) / s_i``.
     """
-
-    name = "pool"
 
     def __init__(self, n_arms: int, horizon: int,
                  params: PoolParams = PoolParams(),
@@ -349,8 +357,6 @@ class LinearModelState:
 
 class LinRewardPoolAgent(Agent):
     """Linear bandit agent: pool-perturbed ridge regression, greedy argmax."""
-
-    name = "lin_pool"
 
     def __init__(self, features: np.ndarray, horizon: int,
                  params: PoolParams = PoolParams(),

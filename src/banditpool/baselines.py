@@ -108,8 +108,6 @@ class UCB1Agent(_ArmStatsAgent):
     arm has been pulled.
     """
 
-    name = "ucb1"
-
     def _indices(self, t: int) -> np.ndarray:
         """The index of every arm once every arm has been pulled."""
         return _ucb1(self.totals / self.pulls, self.pulls, math.log(t))
@@ -126,8 +124,6 @@ class UCBVAgent(_ArmStatsAgent):
 
     Plays unpulled arms first, as :class:`UCB1Agent` does.
     """
-
-    name = "ucbv"
 
     def __init__(self, n_arms: int, horizon: int, range_bound: float = 1.0) -> None:
         super().__init__(n_arms, horizon)
@@ -168,8 +164,6 @@ class BernoulliTSAgent(_ArmStatsAgent):
     as bias, so the agent also runs on beta-distributed rewards.
     """
 
-    name = "bern_ts"
-
     def __init__(self, n_arms: int, horizon: int,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
@@ -194,8 +188,6 @@ class BernoulliTSAgent(_ArmStatsAgent):
 
 class GaussianTSAgent(_ArmStatsAgent):
     """Thompson sampling under a known-variance Gaussian model."""
-
-    name = "gauss_ts"
 
     def __init__(self, n_arms: int, horizon: int, sigma: float = 0.5,
                  prior_mean: float = 0.5,
@@ -254,12 +246,10 @@ class _PHEAgent(_ArmStatsAgent):
 
 
 class BernoulliPHEAgent(_PHEAgent):
-    name = "bern_phe"
     pseudo_family = "bernoulli"
 
 
 class GaussianPHEAgent(_PHEAgent):
-    name = "gauss_phe"
     pseudo_family = "gaussian"
 
 
@@ -324,8 +314,6 @@ def linphe_fit(state: LinearModelState, a: float, pseudo_family: str,
 
 
 class LinUCBAgent(_LinearAgent):
-    name = "linucb"
-
     def __init__(self, features: np.ndarray, horizon: int, width: float = 1.0,
                  ridge_lambda: float = 1.0) -> None:
         super().__init__(features, horizon, ridge_lambda)
@@ -341,8 +329,6 @@ class LinUCBAgent(_LinearAgent):
 
 
 class LinTSAgent(_LinearAgent):
-    name = "lints"
-
     def __init__(self, features: np.ndarray, horizon: int, sigma_ts: float = 1.0,
                  ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
@@ -360,8 +346,6 @@ class LinTSAgent(_LinearAgent):
 
 
 class LinPHEAgent(_LinearAgent):
-    name = "linphe"
-
     def __init__(self, features: np.ndarray, horizon: int, a: float = 1.0,
                  pseudo_family: str = "bernoulli", ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:

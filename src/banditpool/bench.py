@@ -357,13 +357,8 @@ def make_agent(spec: AgentSpec, config: RunConfig, env,
 
 
 # ---------------------------------------------------------------------------
-# Simulation loops
+# Simulation loop
 # ---------------------------------------------------------------------------
-
-
-def regret_trace(gaps: np.ndarray, arms) -> np.ndarray:
-    """Cumulative expected regret after each round of a pulled-arm sequence."""
-    return np.cumsum(np.asarray(gaps, dtype=float)[np.asarray(arms, dtype=int)])
 
 
 def _log_points(horizon: int, stride: int) -> np.ndarray:
@@ -374,24 +369,13 @@ def _log_points(horizon: int, stride: int) -> np.ndarray:
     return points
 
 
-def _simulate_bandit(env, agent, horizon, env_rng) -> np.ndarray:
-    arms = np.empty(horizon, dtype=np.int64)
-    for t in range(1, horizon + 1):
-        arm = agent.select(t)
-        reward = env.sample_reward(arm, env_rng)
-        agent.update(t, arm, reward)
-        arms[t - 1] = arm
-    return regret_trace(env.gaps(), arms)
-
-
-def _simulate_ranking(env, ranker, horizon, env_rng) -> np.ndarray:
-    optimal = env.expected_clicks(env.best_slate())
+def _simulate(env, agent, horizon, env_rng) -> np.ndarray:
+    """Cumulative expected regret after each round of one episode."""
     losses = np.empty(horizon, dtype=float)
     for t in range(1, horizon + 1):
-        slate = ranker.select_list(t)
-        click = env.step(slate, env_rng)
-        ranker.update(t, slate, click)
-        losses[t - 1] = optimal - env.expected_clicks(slate)
+        action = agent.select(t)
+        feedback, losses[t - 1] = env.play(action, env_rng)
+        agent.update(t, action, feedback)
     return np.cumsum(losses)
 
 
@@ -401,10 +385,7 @@ def execute_run(config: RunConfig, instance: int, spec: AgentSpec,
     env = make_env(config, instance)
     env_rng, agent_rng = run_streams(config.seed, instance, spec.name, run)
     agent = make_agent(spec, config, env, agent_rng)
-    if config.experiment == "ranking":
-        cum = _simulate_ranking(env, agent, config.horizon, env_rng)
-    else:
-        cum = _simulate_bandit(env, agent, config.horizon, env_rng)
+    cum = _simulate(env, agent, config.horizon, env_rng)
     points = _log_points(config.horizon, config.stride)
     return RunResult(agent=spec.name, instance=instance, run=run,
                      rounds=points, cum_regret=cum[points - 1])

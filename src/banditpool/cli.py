@@ -97,7 +97,12 @@ def main(argv=None) -> int:
     check_parser.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except bench.ConfigError as exc:
+        # A bad config is bad usage: one line and argparse's exit status.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

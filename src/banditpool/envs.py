@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,31 @@ def _draw_reward(mean: float, family: str, v: float, sigma: float,
     return float(rng.normal(mean, sigma))
 
 
+class _ArmInstance:
+    """Regret accounting shared by the multi-armed and linear instances."""
+
+    def gaps(self) -> np.ndarray:
+        """Per-arm suboptimality: best mean minus each arm's mean."""
+        means = self.mean_rewards()
+        return float(means.max()) - means
+
+    def best_arm(self) -> int:
+        return int(np.argmax(self.mean_rewards()))
+
+    @cached_property
+    def _gap_list(self) -> list[float]:
+        # A list indexes faster than an array in the per-round ``play``, and
+        # each float is its float64 gap exactly.
+        return self.gaps().tolist()
+
+    def play(self, arm: int, rng: np.random.Generator) -> tuple[float, float]:
+        """One round: a sampled reward of ``arm`` and the arm's gap, its
+        expected regret."""
+        return self.sample_reward(arm, rng), self._gap_list[arm]
+
+
 @dataclass(frozen=True, eq=False)
-class MabInstance:
+class MabInstance(_ArmInstance):
     """K independent arms with means in [0, 1] and a common reward family."""
 
     means: np.ndarray
@@ -78,16 +102,9 @@ class MabInstance:
         return _draw_reward(float(self.means[arm]), self.family, self.v,
                             self.sigma, rng)
 
-    def gaps(self) -> np.ndarray:
-        """Per-arm suboptimality: best mean minus each arm's mean."""
-        return float(self.means.max()) - self.means
-
-    def best_arm(self) -> int:
-        return int(np.argmax(self.means))
-
 
 @dataclass(frozen=True, eq=False)
-class LinearInstance:
+class LinearInstance(_ArmInstance):
     """Arms with feature vectors; mean reward of arm i is ``x_i . theta``.
 
     The trailing ``d`` feature rows must form a basis, which the generator
@@ -135,13 +152,6 @@ class LinearInstance:
             raise IndexError(f"arm {arm} out of range [0, {self.n_arms})")
         mean = float(self.features[arm] @ self.theta_star)
         return _draw_reward(mean, self.family, self.v, self.sigma, rng)
-
-    def gaps(self) -> np.ndarray:
-        means = self.mean_rewards()
-        return float(means.max()) - means
-
-    def best_arm(self) -> int:
-        return int(np.argmax(self.mean_rewards()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +215,17 @@ class CascadeInstance:
             if rng.random() < self.attractions[item]:
                 return pos
         return None
+
+    @cached_property
+    def _optimum(self) -> float:
+        # At the first play, not at construction: an instance built but never
+        # played, as by the runner's up-front agent check, costs nothing.
+        return self.expected_clicks(self.best_slate())
+
+    def play(self, ranked, rng: np.random.Generator) -> tuple[int | None, float]:
+        """One round: the clicked position (see :meth:`step`) and the slate's
+        expected click loss against the best slate."""
+        return self.step(ranked, rng), self._optimum - self.expected_clicks(ranked)
 
 
 def generate_mab(n_arms: int, family: str, rng: np.random.Generator,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import PoolParams, perturbed_mean_estimates
+from .agents import Agent, PoolParams, perturbed_mean_estimates
 from .baselines import phe_pseudo_counts
-from .envs import CascadeInstance
 from .pool import build_pool
 
 
@@ -135,65 +134,59 @@ def cascade_update(stats: ItemStats, ranked, click_pos: int | None) -> ItemStats
     return stats
 
 
-def ranking_regret(instance: CascadeInstance, ranked) -> float:
-    """Expected click loss of a slate against the best possible slate."""
-    optimal = instance.expected_clicks(instance.best_slate())
-    return optimal - instance.expected_clicks(ranked)
-
-
 # ---------------------------------------------------------------------------
 # List policies
 # ---------------------------------------------------------------------------
 
 
-class RankerPolicy:
-    """Single-run list policy: ``select_list(t)`` then ``update(t, slate, click)``."""
+class RankerPolicy(Agent):
+    """Single-run list policy: ``select(t)`` then ``update(t, slate, click)``.
 
-    name = "ranker"
+    The action is a slate of ``slate_size`` distinct items, held pending as a
+    tuple, and the feedback is the clicked position or ``None``.  Subclasses
+    score the items in ``_scores``; the slate is the top of that ranking.
+    """
+
+    _key = staticmethod(tuple)
 
     def __init__(self, n_items: int, slate_size: int, horizon: int) -> None:
         if not 1 <= slate_size <= n_items:
             raise ValueError(
                 f"slate size must be in [1, {n_items}], got {slate_size}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        super().__init__(n_items, horizon)
         self.n_items = n_items
         self.slate_size = slate_size
-        self.horizon = horizon
         self.stats = ItemStats.empty(n_items)
-        self._pending: tuple[int, tuple[int, ...]] | None = None
+
+    def select(self, t: int) -> list[int]:
+        # perfbench times a ranker's selection under the name select_list,
+        # so the protocol is reached through it until its span is renamed.
+        return self.select_list(t)
 
     def select_list(self, t: int) -> list[int]:
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"round {t} outside [1, {self.horizon}]")
-        if self._pending is not None:
-            raise RuntimeError(f"round {self._pending[0]} still awaits feedback")
-        ranked = rank_topk(self._scores(t), self.slate_size)
-        self._pending = (t, tuple(ranked))
-        return ranked
+        return super().select(t)
 
-    def update(self, t: int, ranked, click_pos: int | None) -> None:
-        if self._pending != (t, tuple(ranked)):
-            raise RuntimeError(
-                f"feedback for round {t} does not match the pending slate")
-        self._pending = None
-        cascade_update(self.stats, ranked, click_pos)
-        self._learn(ranked, click_pos)
+    def _check_feedback(self, t: int, slate, click: int | None) -> int | None:
+        """The click position; ``ValueError`` unless ``None`` or on the slate."""
+        if click is None or (isinstance(click, (int, np.integer))
+                             and 0 <= click < len(slate)):
+            return click
+        raise ValueError(
+            f"click position for round {t} must be None or in "
+            f"[0, {len(slate)}), got {click!r}")
+
+    def _choose(self, t: int) -> list[int]:
+        return rank_topk(self._scores(t), self.slate_size)
+
+    def _learn(self, t: int, slate, click: int | None) -> None:
+        cascade_update(self.stats, slate, click)
 
     def _scores(self, t: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _learn(self, ranked, click_pos: int | None) -> None:
-        pass
-
-    def get_params(self) -> dict:
-        return {}
-
 
 class KLUCBRanker(RankerPolicy):
     """Rank by per-item KL upper confidence bounds."""
-
-    name = "klucb"
 
     def _scores(self, t: int) -> np.ndarray:
         return np.array([
@@ -204,8 +197,6 @@ class KLUCBRanker(RankerPolicy):
 
 class BernoulliTSRanker(RankerPolicy):
     """Rank by Beta posterior samples of the attraction probabilities."""
-
-    name = "bern_ts"
 
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  rng: np.random.Generator | None = None) -> None:
@@ -219,8 +210,6 @@ class BernoulliTSRanker(RankerPolicy):
 
 class BernoulliPHERanker(RankerPolicy):
     """Rank by perturbed-history estimates with fresh coin pseudo rewards."""
-
-    name = "bern_phe"
 
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  a: float = 0.5, rng: np.random.Generator | None = None) -> None:
@@ -253,8 +242,6 @@ class RewardPoolRanker(RankerPolicy):
     the leading items, and pool draws start at round 2.
     """
 
-    name = "pool"
-
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  params: PoolParams = PoolParams(),
                  rng: np.random.Generator | None = None) -> None:
@@ -275,11 +262,12 @@ class RewardPoolRanker(RankerPolicy):
                                         self.stats.observations, draws,
                                         self._items[: self._seen])
 
-    def _learn(self, ranked, click_pos: int | None) -> None:
-        examined = len(ranked) if click_pos is None else click_pos + 1
+    def _learn(self, t: int, slate, click: int | None) -> None:
+        super()._learn(t, slate, click)
+        examined = len(slate) if click is None else click + 1
         for pos in range(examined):
-            self._values[self._seen] = 1.0 if pos == click_pos else 0.0
-            self._items[self._seen] = ranked[pos]
+            self._values[self._seen] = 1.0 if pos == click else 0.0
+            self._items[self._seen] = slate[pos]
             self._seen += 1
 
     def get_params(self) -> dict:

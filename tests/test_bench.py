@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from banditpool import bench, cli
+from banditpool.agents import Agent
 from banditpool.bench import (
     AGGREGATE_COLUMNS,
     TRACE_COLUMNS,
@@ -21,11 +22,10 @@ from banditpool.bench import (
     make_env,
     parameter_sweep,
     parse_config,
-    regret_trace,
     run_experiment,
     run_streams,
 )
-from banditpool.envs import generate_cascade, save_cascade_file
+from banditpool.envs import MabInstance, generate_cascade, save_cascade_file
 
 BASE_CONFIG = """
 [run]
@@ -191,9 +191,10 @@ class TestAgentKeys:
         ("c = 2", "^agent.pool.c: unknown field"),
     ])
     def test_bad_agent_fails_before_the_first_task(self, tmp_path, monkeypatch,
-                                                   line, field):
+                                                   capsys, line, field):
         """A bad value in a later agent section stops the run before any
-        task of an earlier agent runs, and no CSV is written."""
+        task of an earlier agent runs, with a one-line error and exit status
+        2, and no CSV is written."""
         def no_task(*args):
             raise AssertionError("a task ran before every agent was checked")
 
@@ -202,8 +203,10 @@ class TestAgentKeys:
         body += f"\n[agent.pool]\nkind = pool\n{line}\n"
         path = write_config(tmp_path, text=body)
         monkeypatch.setattr(bench, "execute_run", no_task)
-        with pytest.raises(ConfigError, match=field):
-            cli.main(["run", str(path)])
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.match(field, err.removeprefix("error: "))
         assert not (tmp_path / "out").exists()
 
 
@@ -220,13 +223,34 @@ class TestSeeding:
         np.testing.assert_array_equal(first, second)
 
 
+class ScriptedAgent(Agent):
+    """Plays a fixed arm sequence and learns nothing."""
+
+    def __init__(self, n_arms, arms):
+        super().__init__(n_arms, len(arms))
+        self.arms = arms
+
+    def _choose(self, t):
+        return int(self.arms[t - 1])
+
+    def _learn(self, t, arm, reward):
+        pass
+
+
+def scripted_regret(gaps, arms):
+    """The loop's cumulative regret for ``arms`` on an instance with ``gaps``."""
+    env = MabInstance(means=0.5 - np.asarray(gaps), family="gaussian")
+    return bench._simulate(env, ScriptedAgent(len(gaps), arms), len(arms),
+                           np.random.default_rng(0))
+
+
 class TestRegretTrace:
     def test_running_sum_example(self):
-        trace = regret_trace([0.0, 0.3], [0, 1, 0])
+        trace = scripted_regret([0.0, 0.3], [0, 1, 0])
         np.testing.assert_allclose(trace, [0.0, 0.3, 0.3])
 
     def test_always_optimal_is_zero(self):
-        trace = regret_trace([0.0, 0.2, 0.4], [0] * 10)
+        trace = scripted_regret([0.0, 0.2, 0.4], [0] * 10)
         np.testing.assert_array_equal(trace, np.zeros(10))
 
     def test_uniform_random_policy_rate(self):
@@ -234,9 +258,92 @@ class TestRegretTrace:
         rng = np.random.default_rng(1)
         n = 200_000
         arms = rng.integers(0, 2, size=n)
-        final = regret_trace([0.0, 0.3], arms)[-1]
+        final = scripted_regret([0.0, 0.3], arms)[-1]
         se = 0.15 * math.sqrt(n)  # per-round variance is 0.15^2
         assert abs(final - 0.15 * n) < 4 * se
+
+
+TABLE_ENVS = {
+    "mab": {"family": "gaussian", "K": 4},
+    "linear": {"family": "gaussian", "K": 6, "d": 3},
+    "ranking": {"L": 6, "K": 3},
+}
+
+
+def table_agent(experiment, kind, horizon, agent_rng):
+    """Instance 0 of a small env of ``experiment`` and a ``kind`` agent on
+    it, built by ``make_agent`` with its default parameters."""
+    config = RunConfig(experiment=experiment, env=TABLE_ENVS[experiment],
+                       agents=(AgentSpec(kind, kind, {}),), horizon=horizon,
+                       instances=1, runs=1, seed=3, out_dir="unused",
+                       stride=horizon)
+    env = make_env(config, 0)
+    return env, bench.make_agent(config.agents[0], config, env, agent_rng)
+
+
+@pytest.mark.parametrize("experiment, kind", list(bench.AGENTS))
+def test_round_protocol(experiment, kind):
+    """Every kind in the agent table keeps the one round protocol."""
+    env, agent = table_agent(experiment, kind, 5, np.random.default_rng(0))
+    for t in (0, 6):
+        with pytest.raises(ValueError, match=f"round {t} outside"):
+            agent.select(t)
+    action = agent.select(1)
+    with pytest.raises(RuntimeError, match="round 1 still awaits feedback"):
+        agent.select(2)
+    feedback, _ = env.play(action, np.random.default_rng(1))
+    other = action[::-1] if experiment == "ranking" else (action + 1) % env.n_arms
+    for t, wrong in ((2, action), (1, other)):
+        with pytest.raises(RuntimeError, match="does not match"):
+            agent.update(t, wrong, feedback)
+    bad = len(action) if experiment == "ranking" else math.nan
+    with pytest.raises(ValueError, match="round 1"):
+        agent.update(1, action, bad)
+    agent.update(1, action, feedback)
+    agent.select(2)
+
+
+def reference_regret_trace(gaps, arms):
+    """The loss accounting the MAB and linear loop used before ``env.play``."""
+    return np.cumsum(np.asarray(gaps, dtype=float)[np.asarray(arms, dtype=int)])
+
+
+def reference_simulate_bandit(env, agent, horizon, env_rng):
+    arms = np.empty(horizon, dtype=np.int64)
+    for t in range(1, horizon + 1):
+        arm = agent.select(t)
+        reward = env.sample_reward(arm, env_rng)
+        agent.update(t, arm, reward)
+        arms[t - 1] = arm
+    return reference_regret_trace(env.gaps(), arms)
+
+
+def reference_simulate_ranking(env, ranker, horizon, env_rng):
+    optimal = env.expected_clicks(env.best_slate())
+    losses = np.empty(horizon, dtype=float)
+    for t in range(1, horizon + 1):
+        slate = ranker.select_list(t)
+        click = env.step(slate, env_rng)
+        ranker.update(t, slate, click)
+        losses[t - 1] = optimal - env.expected_clicks(slate)
+    return np.cumsum(losses)
+
+
+@pytest.mark.parametrize("experiment, kind", list(bench.AGENTS))
+def test_loop_matches_the_old_loops_at_every_round(experiment, kind):
+    """The one loop gives the old per-experiment loops' regret bit for bit,
+    at every round, not only the logged ones the golden CSVs hold.  The
+    horizon takes the pool agents past their warm-up."""
+    horizon = 400
+
+    def episode(simulate):
+        env_rng, agent_rng = run_streams(3, 0, kind, 0)
+        env, agent = table_agent(experiment, kind, horizon, agent_rng)
+        return simulate(env, agent, horizon, env_rng)
+
+    old = (reference_simulate_ranking if experiment == "ranking"
+           else reference_simulate_bandit)
+    assert np.array_equal(episode(bench._simulate), episode(old))
 
 
 def small_config(tmp_path, **overrides):

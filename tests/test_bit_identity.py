@@ -28,7 +28,7 @@ from banditpool.baselines import (
 )
 from banditpool.envs import CascadeInstance, MabInstance
 from banditpool.pool import build_pool
-from banditpool.ranking import BernoulliPHERanker, RewardPoolRanker, cascade_update
+from banditpool.ranking import BernoulliPHERanker, RewardPoolRanker
 
 
 def reference_pool_values(rewards, alpha):
@@ -204,9 +204,8 @@ def cascade_histories(draw):
 
 def fed_ranker(ranker, rounds):
     """``ranker`` after the cascade feedback of ``rounds``, in order."""
-    for slate, click in rounds:
-        cascade_update(ranker.stats, slate, click)
-        ranker._learn(slate, click)
+    for t, (slate, click) in enumerate(rounds, start=1):
+        ranker._learn(t, slate, click)
     return ranker
 
 

@@ -22,7 +22,6 @@ from banditpool.ranking import (
     klucb_index,
     klucb_solve,
     rank_topk,
-    ranking_regret,
 )
 
 
@@ -210,25 +209,30 @@ class TestCascadeUpdate:
             assert np.all(stats.clicks <= stats.observations)
 
 
+def cascade_loss(instance, slate):
+    """The expected click loss ``CascadeInstance.play`` reports for ``slate``."""
+    return instance.play(slate, np.random.default_rng(0))[1]
+
+
 class TestRankingRegret:
     instance = CascadeInstance(attractions=[0.9, 0.8, 0.1], slate_size=2)
 
     def test_optimal_slate_has_zero_regret(self):
-        assert ranking_regret(self.instance, [0, 1]) == pytest.approx(0.0)
+        assert cascade_loss(self.instance, [0, 1]) == pytest.approx(0.0)
 
     def test_reference_example(self):
-        assert ranking_regret(self.instance, [0, 2]) == pytest.approx(0.07)
+        assert cascade_loss(self.instance, [0, 2]) == pytest.approx(0.07)
 
     def test_invariant_to_within_slate_order(self):
-        assert ranking_regret(self.instance, [2, 0]) == pytest.approx(
-            ranking_regret(self.instance, [0, 2]))
+        assert cascade_loss(self.instance, [2, 0]) == pytest.approx(
+            cascade_loss(self.instance, [0, 2]))
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(5)
         inst = CascadeInstance(attractions=rng.uniform(size=8), slate_size=4)
         for _ in range(50):
             slate = list(rng.permutation(8)[:4])
-            assert ranking_regret(inst, slate) >= -1e-12
+            assert cascade_loss(inst, slate) >= -1e-12
 
 
 def drive(ranker, instance, horizon, env_rng):
@@ -260,9 +264,7 @@ class TestRankers:
         feedback = [([0, 1], None), ([2, 3], 0), ([0, 2], 1)]
         for t, (slate, click) in enumerate(feedback, start=1):
             ranker._pending = (t, tuple(slate))
-            cascade_update(ranker.stats, slate, click)
-            ranker._pending = None
-            ranker._learn(slate, click)
+            ranker.update(t, slate, click)
         # Observed values in order: 0,0 then 1 (click at pos 0) then 0,1.
         expected = build_pool([0.0, 0.0, 1.0, 0.0, 1.0], alpha=0.6)
         got = build_pool(ranker._values[: ranker._seen], alpha=0.6)
@@ -294,6 +296,16 @@ class TestRankers:
         ranker.update(1, slate, None)
         with pytest.raises(RuntimeError):
             ranker.update(1, slate, None)
+
+    @pytest.mark.parametrize("click", [-1, 2, 7, 0.5])
+    def test_bad_click_leaves_the_round_pending(self, click):
+        ranker = KLUCBRanker(5, 2, 10)
+        slate = ranker.select_list(1)
+        with pytest.raises(ValueError, match="round 1"):
+            ranker.update(1, slate, click)
+        assert ranker._pending == (1, tuple(slate))
+        ranker.update(1, slate, None)
+        assert ranker.stats.observations.sum() == 2
 
     def test_unobserved_items_rank_first(self):
         ranker = BernoulliPHERanker(5, 2, 20, 0.5, np.random.default_rng(10))
