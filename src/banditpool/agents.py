@@ -207,9 +207,6 @@ class Agent:
     def _learn(self, t: int, action, feedback) -> None:
         raise NotImplementedError
 
-    def get_params(self) -> dict:
-        return {}
-
 
 class _ArmStatsAgent(Agent):
     """Shared per-arm pull counts and reward totals."""
@@ -282,9 +279,6 @@ class RewardPoolAgent(_ArmStatsAgent):
         self._rewards[self._seen] = reward
         self._arms[self._seen] = arm
         self._seen += 1
-
-    def get_params(self) -> dict:
-        return {"alpha": self.params.alpha, "z": self.params.z}
 
 
 class LinearModelState:
@@ -417,8 +411,3 @@ class LinRewardPoolAgent(Agent):
         self._seen += 1
         if self.state is not None:
             self.state.add(x, reward)
-
-    def get_params(self) -> dict:
-        return {"alpha": self.params.alpha, "z": self.params.z,
-                "ridge_lambda": self.params.ridge_lambda,
-                "auto_ridge": self.params.auto_ridge}

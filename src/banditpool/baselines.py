@@ -153,9 +153,6 @@ class UCBVAgent(_ArmStatsAgent):
         super()._learn(t, arm, reward)
         self._sumsq[arm] += reward * reward
 
-    def get_params(self) -> dict:
-        return {"range_bound": self.range_bound}
-
 
 class BernoulliTSAgent(_ArmStatsAgent):
     """Beta-Bernoulli Thompson sampling with a flat prior.
@@ -206,9 +203,6 @@ class GaussianTSAgent(_ArmStatsAgent):
                                   self.pulls, self.rng)
         return int(np.argmax(samples))
 
-    def get_params(self) -> dict:
-        return {"sigma": self.sigma, "prior_mean": self.prior_mean}
-
 
 class _PHEAgent(_ArmStatsAgent):
     """Perturbed history: fresh pseudo rewards mixed into every estimate."""
@@ -240,9 +234,6 @@ class _PHEAgent(_ArmStatsAgent):
 
     def _choose(self, t: int) -> int:
         return int(np.argmax(self._estimates()))
-
-    def get_params(self) -> dict:
-        return {"a": self.a}
 
 
 class BernoulliPHEAgent(_PHEAgent):
@@ -324,9 +315,6 @@ class LinUCBAgent(_LinearAgent):
     def _choose(self, t: int) -> int:
         return int(np.argmax(linucb_scores(self.state, self.features, self.width)))
 
-    def get_params(self) -> dict:
-        return {"width": self.width, "ridge_lambda": self.state.ridge_lambda}
-
 
 class LinTSAgent(_LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, sigma_ts: float = 1.0,
@@ -340,9 +328,6 @@ class LinTSAgent(_LinearAgent):
 
     def _choose(self, t: int) -> int:
         return best_arm(self.features, lints_sample(self.state, self.sigma_ts, self.rng))
-
-    def get_params(self) -> dict:
-        return {"sigma_ts": self.sigma_ts, "ridge_lambda": self.state.ridge_lambda}
 
 
 class LinPHEAgent(_LinearAgent):
@@ -364,7 +349,3 @@ class LinPHEAgent(_LinearAgent):
             return (t - 1) % self.n_arms
         return best_arm(self.features,
                         linphe_fit(self.state, self.a, self.pseudo_family, self.rng))
-
-    def get_params(self) -> dict:
-        return {"a": self.a, "pseudo_family": self.pseudo_family,
-                "ridge_lambda": self.state.ridge_lambda}

@@ -6,7 +6,7 @@ Configs are INI files with three kinds of sections::
                               # stride, workers
     [env]                     # per-experiment environment parameters
     [agent.<name>]            # kind plus agent parameters, one section each
-    [sweep]                   # optional alpha/z grids for parameter_sweep
+    [sweep]                   # alpha (and z) grids for parameter_sweep
 
 Every run is reproducible: the run executed for (instance, agent, run) seeds a
 PCG64 generator from ``SeedSequence([seed, 2, instance, digest(agent), run])``
@@ -22,6 +22,7 @@ import configparser
 import csv
 import dataclasses
 import hashlib
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,13 +34,46 @@ from . import baselines, envs, ranking
 
 TRACE_COLUMNS = ["agent", "instance", "run", "round", "cum_regret"]
 AGGREGATE_COLUMNS = ["agent", "round", "mean_regret", "std_regret", "n_runs"]
-SWEEP_COLUMNS = ["alpha", "z", "mean_final_regret", "std_final_regret", "n_runs"]
-
-EXPERIMENTS = ("mab", "linear", "ranking")
+SWEEP_STATS = ["mean_final_regret", "std_final_regret", "n_runs"]
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message carries the field path."""
+
+
+REQUIRED = object()  # the default of a key that has none
+
+
+class _Resolved(dict):
+    """A table entry's keys, as configured or defaulted.  A required key
+    that was not configured is absent, and reading it fails naming it, so a
+    key is required only where the factory reads it."""
+
+    def __init__(self, path: str, given: dict, params: dict, env=None):
+        super().__init__(
+            (key, given[key] if key in given
+             else default(env) if callable(default) else default)
+            for key, (_, default) in params.items()
+            if key in given or default is not REQUIRED)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.path}.{key}: missing required field")
+
+
+def _check_fields(path: str, given, params, owner: str = "") -> None:
+    """Reject a key in ``given`` that ``params`` does not list."""
+    for key in given:
+        if key not in params:
+            raise ConfigError(
+                f"{path}.{key}: unknown field{owner}; expected one of "
+                f"{', '.join(params) or '(none)'}")
+
+
+def _owner(experiment: str, kind: str | None = None) -> str:
+    """Whose keys a field was checked against, for the error message."""
+    kind_part = f"kind {kind!r} in " if kind else ""
+    return f" for {kind_part}experiment {experiment!r}"
 
 
 @dataclass(frozen=True)
@@ -64,8 +98,8 @@ class RunConfig:
     sweep: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"run.experiment: must be one of {EXPERIMENTS}")
+        if self.experiment not in ENVS:
+            raise ConfigError(f"run.experiment: must be one of {tuple(ENVS)}")
         if self.horizon < 1:
             raise ConfigError("run.n: must be >= 1")
         if self.instances < 1:
@@ -83,11 +117,16 @@ class RunConfig:
             raise ConfigError("agent.*: agent names must be unique")
         for spec in self.agents:
             # A kind the table lacks is reported where the agent is built.
-            entry = AGENTS.get((self.experiment, spec.kind))
-            for key in spec.params:
-                if entry is not None and key not in entry.params:
-                    raise _unknown_field(f"agent.{spec.name}", key,
-                                         self.experiment, spec.kind)
+            if (self.experiment, spec.kind) in AGENTS:
+                _check_fields(f"agent.{spec.name}", spec.params,
+                              AGENTS[self.experiment, spec.kind].params,
+                              _owner(self.experiment, spec.kind))
+        _check_fields("env", self.env, ENVS[self.experiment].params,
+                      _owner(self.experiment))
+        extra = [key for key in self.env if key != "queries_dir"]
+        if "queries_dir" in self.env and extra:
+            raise ConfigError(f"env.{extra[0]}: not read with env.queries_dir, "
+                              "whose files give the whole instance")
 
 
 @dataclass(frozen=True)
@@ -97,11 +136,6 @@ class RunResult:
     run: int
     rounds: np.ndarray
     cum_regret: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
 
 
 def _coerce(raw: str, path: str, kind: type):
@@ -118,30 +152,18 @@ def _coerce(raw: str, path: str, kind: type):
         raise ConfigError(f"{path}: cannot parse {raw!r} as {kind.__name__}") from exc
 
 
-def _section_dict(parser: configparser.ConfigParser, section: str,
-                  types: dict) -> dict:
-    """The section's values coerced to ``types``; any other key is an error."""
-    out = {}
-    for key, raw in parser.items(section):
-        if key not in types:
-            raise ConfigError(
-                f"{section}.{key}: unknown field; expected one of "
-                f"{', '.join(types)}")
-        out[key] = _coerce(raw, f"{section}.{key}", types[key])
-    return out
+def _typed(section: str, items, params: dict) -> dict:
+    """Type each key ``params`` lists; leave any other for RunConfig to reject."""
+    return {key: _coerce(raw, f"{section}.{key}", params[key][0])
+            if key in params else raw for key, raw in items}
 
 
-_RUN_FIELD_TYPES = {
-    "experiment": str, "n": int, "instances": int, "runs": int, "seed": int,
-    "out_dir": str, "stride": int, "workers": int,
+_RUN_FIELDS = {
+    "experiment": (str, REQUIRED), "n": (int, REQUIRED),
+    "instances": (int, REQUIRED), "runs": (int, REQUIRED),
+    "seed": (int, REQUIRED), "out_dir": (str, REQUIRED),
+    "stride": (int, 10), "workers": (int, 1),
 }
-
-_ENV_PARAM_TYPES = {
-    "family": str, "K": int, "d": int, "v": float, "sigma": float,
-    "L": int, "low": float, "high": float, "queries_dir": str,
-}
-
-_SWEEP_FIELD_TYPES = {"alpha": str, "z": str, "agent": str}
 
 
 def parse_config(path) -> RunConfig:
@@ -165,12 +187,9 @@ def parse_config(path) -> RunConfig:
     if not parser.has_section("env"):
         raise ConfigError("env: missing section")
 
-    run = _section_dict(parser, "run", _RUN_FIELD_TYPES)
-    required = ("experiment", "n", "instances", "runs", "seed", "out_dir")
-    for key in required:
-        if key not in run:
-            raise ConfigError(f"run.{key}: missing required field")
-
+    run = dict(parser.items("run"))
+    _check_fields("run", run, _RUN_FIELDS)
+    run = _Resolved("run", _typed("run", run.items(), _RUN_FIELDS), _RUN_FIELDS)
     agent_specs = []
     for section in parser.sections():
         if not section.startswith("agent."):
@@ -182,47 +201,40 @@ def parse_config(path) -> RunConfig:
         kind = params.pop("kind", None)
         if kind is None:
             raise ConfigError(f"{section}.kind: missing required field")
-        # Keys the kind reads take its types; any other key stays a string
-        # for RunConfig to reject.
-        types = AGENTS.get((run["experiment"], kind), AgentEntry(None, {})).params
-        params = {key: _coerce(raw, f"{section}.{key}", types[key][0])
-                  if key in types else raw for key, raw in params.items()}
-        agent_specs.append(AgentSpec(name=name, kind=kind, params=params))
+        entry = AGENTS.get((run["experiment"], kind), AgentEntry(None, {}))
+        agent_specs.append(AgentSpec(name=name, kind=kind, params=_typed(
+            section, params.items(), entry.params)))
 
     sweep = None
     if parser.has_section("sweep"):
-        sweep = {}
-        raw = _section_dict(parser, "sweep", _SWEEP_FIELD_TYPES)
-        for axis in ("alpha", "z"):
-            if axis not in raw:
-                raise ConfigError(f"sweep.{axis}: missing required field")
+        sweep = dict(parser.items("sweep"))
+        _check_fields("sweep", sweep, ("alpha", "z", "agent"))
+        if "alpha" not in sweep:
+            raise ConfigError("sweep.alpha: missing required field")
+        # Whether the swept agent reads z is checked by parameter_sweep.
+        for axis in [axis for axis in ("alpha", "z") if axis in sweep]:
+            raw = sweep[axis]
             try:
-                sweep[axis] = [float(v) for v in raw[axis].split(",") if v.strip()]
+                sweep[axis] = [float(v) for v in raw.split(",") if v.strip()]
             except ValueError as exc:
-                raise ConfigError(f"sweep.{axis}: cannot parse grid {raw[axis]!r}") from exc
+                raise ConfigError(f"sweep.{axis}: cannot parse grid {raw!r}") from exc
             if not sweep[axis]:
                 raise ConfigError(f"sweep.{axis}: grid must be nonempty")
-        if "agent" in raw:
-            sweep["agent"] = raw["agent"]
 
     return RunConfig(
         experiment=run["experiment"],
-        env=_section_dict(parser, "env", _ENV_PARAM_TYPES),
+        env=_typed("env", parser.items("env"), ENVS.get(
+            run["experiment"], EnvEntry(None, {})).params),
         agents=tuple(agent_specs),
         horizon=run["n"],
         instances=run["instances"],
         runs=run["runs"],
         seed=run["seed"],
         out_dir=run["out_dir"],
-        stride=run.get("stride", 10),
-        workers=run.get("workers", 1),
+        stride=run["stride"],
+        workers=run["workers"],
         sweep=sweep,
     )
-
-
-# ---------------------------------------------------------------------------
-# Seeding
-# ---------------------------------------------------------------------------
 
 
 def _agent_digest(name: str) -> int:
@@ -243,43 +255,47 @@ def run_streams(seed: int, instance: int, agent_name: str,
     return np.random.default_rng(env_seq), np.random.default_rng(agent_seq)
 
 
-# ---------------------------------------------------------------------------
-# Environment and agent construction
-# ---------------------------------------------------------------------------
+def _cascade_env(p: dict, rng: np.random.Generator, instance: int):
+    if p["queries_dir"] is None:
+        return envs.generate_cascade(p["L"], p["K"], rng, low=p["low"],
+                                     high=p["high"])
+    files = sorted(Path(p["queries_dir"]).glob("*.txt"))
+    if instance >= len(files):
+        raise ConfigError(f"run.instances: only {len(files)} query files in "
+                          f"{p['queries_dir']}")
+    return envs.load_cascade_file(files[instance])
 
 
-def _env_field(config: RunConfig, key: str, default=None):
-    if key in config.env:
-        return config.env[key]
-    if default is None:
-        raise ConfigError(f"env.{key}: missing required field")
-    return default
+# One entry per experiment: ``factory(values, rng, instance)`` builds env
+# ``instance`` from ``instance_rng(seed, instance)``, and ``params`` maps each
+# [env] key it reads to ``(type, default)``.  Factories look ``envs``
+# functions up when called, so a tracer that replaces them sees every call.
+EnvEntry = namedtuple("EnvEntry", "factory params")
+
+_ARM_KEYS = {"family": (str, REQUIRED), "K": (int, REQUIRED),
+             "v": (float, envs.DEFAULT_BETA_CONCENTRATION),
+             "sigma": (float, envs.DEFAULT_GAUSSIAN_STD)}
+
+ENVS = {
+    "mab": EnvEntry(lambda p, rng, i: envs.generate_mab(
+        p["K"], p["family"], rng, v=p["v"], sigma=p["sigma"]), _ARM_KEYS),
+    "linear": EnvEntry(lambda p, rng, i: envs.generate_linear(
+        p["K"], p["d"], p["family"], rng, v=p["v"], sigma=p["sigma"]),
+        {**_ARM_KEYS, "d": (int, REQUIRED)}),
+    # Query files, when given, replace every other key (RunConfig checks).
+    "ranking": EnvEntry(_cascade_env, {
+        "L": (int, REQUIRED), "K": (int, REQUIRED),
+        "low": (float, envs.DEFAULT_ATTRACTION_LOW),
+        "high": (float, envs.DEFAULT_ATTRACTION_HIGH),
+        "queries_dir": (str, None)}),
+}
 
 
 def make_env(config: RunConfig, instance: int):
     """Deterministically build environment ``instance`` for this config."""
-    rng = instance_rng(config.seed, instance)
-    if config.experiment == "mab":
-        return envs.generate_mab(
-            _env_field(config, "K"), _env_field(config, "family"), rng,
-            v=_env_field(config, "v", envs.DEFAULT_BETA_CONCENTRATION),
-            sigma=_env_field(config, "sigma", envs.DEFAULT_GAUSSIAN_STD))
-    if config.experiment == "linear":
-        return envs.generate_linear(
-            _env_field(config, "K"), _env_field(config, "d"),
-            _env_field(config, "family"), rng,
-            v=_env_field(config, "v", envs.DEFAULT_BETA_CONCENTRATION),
-            sigma=_env_field(config, "sigma", envs.DEFAULT_GAUSSIAN_STD))
-    if "queries_dir" in config.env:
-        files = sorted(Path(config.env["queries_dir"]).glob("*.txt"))
-        if instance >= len(files):
-            raise ConfigError(
-                f"run.instances: only {len(files)} query files in "
-                f"{config.env['queries_dir']}")
-        return envs.load_cascade_file(files[instance])
-    return envs.generate_cascade(
-        _env_field(config, "L"), _env_field(config, "K"), rng,
-        low=_env_field(config, "low", 0.1), high=_env_field(config, "high", 0.7))
+    entry = ENVS[config.experiment]
+    return entry.factory(_Resolved("env", config.env, entry.params),
+                         instance_rng(config.seed, instance), instance)
 
 
 # One entry per (experiment, kind): ``factory(env, horizon, rng, values)``
@@ -334,13 +350,6 @@ AGENTS = {
 }
 
 
-def _unknown_field(path: str, key: str, experiment: str, kind: str) -> ConfigError:
-    expected = ", ".join(AGENTS[experiment, kind].params) or "(none)"
-    return ConfigError(
-        f"{path}.{key}: unknown field for kind {kind!r} in experiment "
-        f"{experiment!r}; expected one of {expected}")
-
-
 def make_agent(spec: AgentSpec, config: RunConfig, env,
                rng: np.random.Generator):
     """Instantiate the policy named by ``spec`` for one run."""
@@ -350,15 +359,8 @@ def make_agent(spec: AgentSpec, config: RunConfig, env,
         raise ConfigError(
             f"agent.{spec.name}.kind: {spec.kind!r} is not valid for "
             f"experiment {config.experiment!r}; expected one of {kinds}")
-    values = {key: spec.params[key] if key in spec.params
-              else default(env) if callable(default) else default
-              for key, (_, default) in entry.params.items()}
-    return entry.factory(env, config.horizon, rng, values)
-
-
-# ---------------------------------------------------------------------------
-# Simulation loop
-# ---------------------------------------------------------------------------
+    return entry.factory(env, config.horizon, rng, _Resolved(
+        f"agent.{spec.name}", spec.params, entry.params, env))
 
 
 def _log_points(horizon: int, stride: int) -> np.ndarray:
@@ -398,17 +400,20 @@ def _execute_task(args) -> RunResult:
 def collect_runs(config: RunConfig) -> list[RunResult]:
     """Execute every (instance, agent, run) combination, sorted for determinism.
 
-    Every agent is first built once on instance 0 with a throwaway generator,
-    so a bad agent value fails, naming the agent, before any task runs.
+    Instance 0 and every agent on it, with a throwaway generator, are first
+    built once, so a bad env or agent value fails, naming its section,
+    before any task runs.
     """
-    env = make_env(config, 0)
-    for spec in config.agents:
-        try:
+    path = "env"
+    try:
+        env = make_env(config, 0)
+        for spec in config.agents:
+            path = f"agent.{spec.name}"
             make_agent(spec, config, env, np.random.default_rng(0))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"agent.{spec.name}: {exc}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     tasks = [(config, instance, spec, run)
              for instance in range(config.instances)
              for spec in config.agents
@@ -439,11 +444,6 @@ def aggregate_results(config: RunConfig, results: list[RunResult]) -> dict:
             "n_runs": stacked.shape[0],
         }
     return out
-
-
-# ---------------------------------------------------------------------------
-# Output files
-# ---------------------------------------------------------------------------
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -488,55 +488,55 @@ def run_experiment(config: RunConfig) -> dict:
 
 
 def parameter_sweep(config: RunConfig) -> list[dict]:
-    """Run the experiment grid over (alpha, z) for one pool agent.
+    """Run the experiment grid over one pool agent's alpha, and its z where
+    its kind reads one.
 
     Each cell reruns the full (instances x runs) experiment with the target
-    agent's alpha and z replaced; seeds depend only on the agent name, so a
+    agent's swept keys replaced; seeds depend only on the agent name, so a
     standalone run with the same name and parameters reproduces any cell.
-    Writes ``sweep.csv`` and returns its rows.
+    Writes ``sweep.csv`` (the swept axes, then ``SWEEP_STATS``) and returns
+    its rows.
     """
     if not config.sweep:
         raise ConfigError("sweep: missing section")
-    target = config.sweep.get("agent")
-    pool_agents = [s for s in config.agents if s.kind == "pool"]
+    pool_agents = [s.name for s in config.agents if s.kind == "pool"]
+    target = config.sweep.get(
+        "agent", pool_agents[0] if len(pool_agents) == 1 else None)
     if target is None:
-        if len(pool_agents) != 1:
-            raise ConfigError("sweep.agent: required when the pool agent is ambiguous")
-        target = pool_agents[0].name
-    if target not in {s.name for s in config.agents}:
+        raise ConfigError("sweep.agent: required when the pool agent is ambiguous")
+    spec = next((s for s in config.agents if s.name == target), None)
+    if spec is None:
         raise ConfigError(f"sweep.agent: no agent section named {target!r}")
-
-    spec = next(s for s in config.agents if s.name == target)
     if spec.kind != "pool":
         raise ConfigError(
             f"sweep.agent: {target!r} has kind {spec.kind!r}, which takes "
             "no alpha or z; the sweep needs a pool agent")
     # Every axis and cell is checked before the first one runs, so a bad
     # value late in a grid cannot fail the sweep after the earlier cells' work.
-    for axis in ("alpha", "z"):
-        if axis not in AGENTS[config.experiment, spec.kind].params:
-            raise _unknown_field("sweep", axis, config.experiment, spec.kind)
+    params = AGENTS[config.experiment, spec.kind].params
+    _check_fields("sweep", [axis for axis in ("alpha", "z") if axis in config.sweep],
+                  params, _owner(config.experiment, spec.kind))
+    axes = [axis for axis in ("alpha", "z") if axis in params]
+    for axis in axes:
+        if axis not in config.sweep:
+            raise ConfigError(f"sweep.{axis}: missing required field")
         for value in config.sweep[axis]:
             try:
                 agents_mod.PoolParams(**{axis: value})
             except ValueError as exc:
                 raise ConfigError(f"sweep.{axis}: {exc}") from exc
     rows = []
-    for alpha in config.sweep["alpha"]:
-        for z in config.sweep["z"]:
-            # Seeds derive from the agent name alone, so running the target
-            # agent by itself reproduces its runs from any larger config.
-            cell_spec = dataclasses.replace(
-                spec, params={**spec.params, "alpha": alpha, "z": z})
-            cell = dataclasses.replace(config, agents=(cell_spec,), sweep=None)
-            results = collect_runs(cell)
-            finals = np.array([r.cum_regret[-1] for r in results])
-            rows.append({"alpha": alpha, "z": z,
-                         "mean_final_regret": float(finals.mean()),
-                         "std_final_regret": float(finals.std()),
-                         "n_runs": finals.size})
+    for values in itertools.product(*(config.sweep[axis] for axis in axes)):
+        swept = dict(zip(axes, values))
+        # Seeds derive from the agent name alone, so running the target
+        # agent by itself reproduces its runs from any larger config.
+        cell_spec = dataclasses.replace(spec, params={**spec.params, **swept})
+        cell = dataclasses.replace(config, agents=(cell_spec,), sweep=None)
+        finals = np.array([r.cum_regret[-1] for r in collect_runs(cell)])
+        rows.append({**swept, "mean_final_regret": float(finals.mean()),
+                     "std_final_regret": float(finals.std()),
+                     "n_runs": finals.size})
     path = Path(config.out_dir) / "sweep.csv"
-    _write_csv(path, SWEEP_COLUMNS,
-               [[r["alpha"], r["z"], repr(r["mean_final_regret"]),
-                 repr(r["std_final_regret"]), r["n_runs"]] for r in rows])
+    # csv writes str(x), which for a float is its round-trip repr.
+    _write_csv(path, axes + SWEEP_STATS, [row.values() for row in rows])
     return rows

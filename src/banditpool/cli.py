@@ -48,8 +48,9 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     rows = bench.parameter_sweep(config)
     for row in rows:
-        print(f"alpha={row['alpha']:g} z={row['z']:g}: "
-              f"final mean regret {row['mean_final_regret']:.3f}")
+        axes = " ".join(f"{axis}={row[axis]:g}" for axis in ("alpha", "z")
+                        if axis in row)
+        print(f"{axes}: final mean regret {row['mean_final_regret']:.3f}")
     print(f"wrote {Path(config.out_dir) / 'sweep.csv'}")
     return 0
 
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     run_parser.set_defaults(func=_cmd_run)
 
     sweep_parser = commands.add_parser(
-        "sweep", help="grid over alpha and z for the pool agent")
+        "sweep", help="grid over alpha (and z) for the pool agent")
     _add_overrides(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
 

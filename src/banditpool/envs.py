@@ -17,6 +17,8 @@ FAMILIES = ("bernoulli", "beta", "gaussian")
 
 DEFAULT_BETA_CONCENTRATION = 4.0
 DEFAULT_GAUSSIAN_STD = 0.5
+DEFAULT_ATTRACTION_LOW = 0.1
+DEFAULT_ATTRACTION_HIGH = 0.7
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:
@@ -279,7 +281,8 @@ def generate_linear(n_arms: int, dim: int, family: str, rng: np.random.Generator
 
 
 def generate_cascade(n_items: int, slate_size: int, rng: np.random.Generator,
-                     low: float = 0.1, high: float = 0.7) -> CascadeInstance:
+                     low: float = DEFAULT_ATTRACTION_LOW,
+                     high: float = DEFAULT_ATTRACTION_HIGH) -> CascadeInstance:
     """Draw a synthetic cascade instance with Uniform[low, high] attractions."""
     if not 0.0 <= low <= high <= 1.0:
         raise ValueError(f"need 0 <= low <= high <= 1, got {low}, {high}")

@@ -228,9 +228,6 @@ class BernoulliPHERanker(RankerPolicy):
                                         self.stats.observations + counts,
                                         pseudo, owners)
 
-    def get_params(self) -> dict:
-        return {"a": self.a}
-
 
 class RewardPoolRanker(RankerPolicy):
     """Rank by reward-pool perturbed attraction estimates.
@@ -269,6 +266,3 @@ class RewardPoolRanker(RankerPolicy):
             self._values[self._seen] = 1.0 if pos == click else 0.0
             self._items[self._seen] = slate[pos]
             self._seen += 1
-
-    def get_params(self) -> dict:
-        return {"alpha": self.params.alpha}

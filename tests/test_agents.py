@@ -167,10 +167,6 @@ class TestRewardPoolAgent:
         agent.update(1, arm, 0.5)
         assert agent.totals[arm] == 0.5
 
-    def test_get_params(self):
-        agent = self.make(alpha=0.4, z=0.5)
-        assert agent.get_params() == {"alpha": 0.4, "z": 0.5}
-
 
 def reference_ridge_solve(gram, rhs):
     """The scipy wrapper pair ``ridge_solve`` replaced."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditpool import bench, cli
+from banditpool import bench, cli, envs
 from banditpool.agents import Agent
 from banditpool.bench import (
     AGGREGATE_COLUMNS,
@@ -189,25 +189,91 @@ class TestAgentKeys:
         ("alpha = nan", "^agent.pool: alpha must be positive and finite"),
         ("lambda = 5", "^agent.pool.lambda: unknown field"),
         ("c = 2", "^agent.pool.c: unknown field"),
+        pytest.param("[env]\nfamily = gaussian\nK = 1",
+                     "^env: need at least two arms, got 1$", id="env-one-arm"),
+        pytest.param("[run]\nexperiment = ranking\nn = 120\ninstances = 1\n"
+                     "runs = 1\nseed = 77\nout_dir = {out}\n[env]\n"
+                     "queries_dir = queries\n[agent.ucb1]\nkind = klucb",
+                     r"^env: queries/q0\.txt: attraction of item 1 must lie in "
+                     r"\[0, 1\], got nan$", id="env-nan-attraction"),
     ])
     def test_bad_agent_fails_before_the_first_task(self, tmp_path, monkeypatch,
                                                    capsys, line, field):
-        """A bad value in a later agent section stops the run before any
-        task of an earlier agent runs, with a one-line error and exit status
-        2, and no CSV is written."""
+        """A bad env value, or a bad value in a later agent section, stops
+        the run before any task runs, with a one-line error and exit status
+        2, and no CSV is written.  ``line`` joins a pool agent section that
+        follows the others, unless it opens sections of its own, which then
+        replace the base config's sections of those names."""
         def no_task(*args):
             raise AssertionError("a task ran before every agent was checked")
 
+        (tmp_path / "queries").mkdir()
+        (tmp_path / "queries" / "q0.txt").write_text("L=2 K=1\n0\t0.5\n1\tnan\n")
+        monkeypatch.chdir(tmp_path)
         body = BASE_CONFIG.replace(
             "[agent.pool]\nkind = pool\nalpha = 0.6\nz = 0.6\n", "")
-        body += f"\n[agent.pool]\nkind = pool\n{line}\n"
-        path = write_config(tmp_path, text=body)
+        if not line.startswith("["):
+            line = f"[agent.pool]\nkind = pool\n{line}"
+        for section in re.findall(r"^\[(.+)\]$", line, re.M):
+            body = re.sub(rf"^\[{re.escape(section)}\]\n(?:[^\[\n].*\n|\n)*",
+                          "", body, flags=re.M)
+        path = write_config(tmp_path, text=f"{body}\n{line}\n")
         monkeypatch.setattr(bench, "execute_run", no_task)
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.match(field, err.removeprefix("error: "))
         assert not (tmp_path / "out").exists()
+
+
+def foreign_env_key(experiment):
+    """A key some other experiment's env reads but ``experiment``'s does not."""
+    return next(key for entry in bench.ENVS.values() for key in entry.params
+                if key not in bench.ENVS[experiment].params)
+
+
+class TestEnvKeys:
+    @pytest.mark.parametrize("experiment", sorted(bench.ENVS))
+    def test_every_experiment_rejects_a_foreign_key(self, tmp_path, experiment):
+        key = foreign_env_key(experiment)
+        field = (f"^env.{key}: unknown field for experiment '{experiment}'; "
+                 f"expected one of {', '.join(bench.ENVS[experiment].params)}$")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nexperiment = {experiment}\nn = 10\n"
+                        f"instances = 1\nruns = 1\nseed = 1\nout_dir = out\n"
+                        f"[env]\n{key} = 1\n[agent.a]\nkind = pool\n")
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(small_config(tmp_path), experiment=experiment,
+                                env={key: 1}, agents=(AgentSpec("a", "pool", {}),))
+
+    @pytest.mark.parametrize("experiment", sorted(bench.ENVS))
+    def test_every_required_key_is_named_when_missing(self, tmp_path, experiment):
+        params = bench.ENVS[experiment].params
+        required = [key for key, (_, default) in params.items()
+                    if default is bench.REQUIRED]
+        assert required
+        for key in required:
+            env = {k: v for k, v in TABLE_ENVS[experiment].items() if k != key}
+            config = small_config(tmp_path, experiment=experiment, env=env,
+                                  agents=(AgentSpec("a", "pool", {}),))
+            with pytest.raises(ConfigError,
+                               match=f"^env.{key}: missing required field$"):
+                make_env(config, 0)
+
+    def test_queries_dir_excludes_the_generated_instance_keys(self, tmp_path):
+        field = "^env.L: not read with env.queries_dir"
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nexperiment = ranking\nn = 10\ninstances = 1\n"
+                        "runs = 1\nseed = 1\nout_dir = out\n[env]\n"
+                        "queries_dir = queries\nL = 6\n[agent.a]\nkind = pool\n")
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=field):
+            small_config(tmp_path, experiment="ranking",
+                         env={"queries_dir": "queries", "L": 6},
+                         agents=(AgentSpec("a", "pool", {}),))
 
 
 class TestSeeding:
@@ -279,6 +345,21 @@ def table_agent(experiment, kind, horizon, agent_rng):
                        stride=horizon)
     env = make_env(config, 0)
     return env, bench.make_agent(config.agents[0], config, env, agent_rng)
+
+
+@pytest.mark.parametrize("experiment", sorted(bench.ENVS))
+def test_env_factories_look_up_envs_when_called(monkeypatch, experiment):
+    """A tracer that replaces a generator on ``envs`` sees ``make_env`` call it."""
+    calls = []
+    for name in ("generate_mab", "generate_linear", "generate_cascade"):
+        real = getattr(envs, name)
+        monkeypatch.setattr(envs, name, lambda *args, real=real, **kwargs: (
+            calls.append(real.__name__) or real(*args, **kwargs)))
+    config = RunConfig(experiment=experiment, env=TABLE_ENVS[experiment],
+                       agents=(AgentSpec("a", "pool", {}),), horizon=5,
+                       instances=1, runs=1, seed=3, out_dir="unused", stride=5)
+    make_env(config, 0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("experiment, kind", list(bench.AGENTS))
@@ -477,6 +558,7 @@ class TestParameterSweep:
         ({"alpha": [0.6, -1.0], "z": [0.6]}, "sweep.alpha"),
         ({"alpha": [0.6], "z": [0.5, 1.0]}, "sweep.z"),
         ({"alpha": [0.6, math.nan], "z": [0.6]}, "sweep.alpha"),
+        ({"alpha": [0.6]}, "sweep.z"),
     ])
     def test_bad_grid_rejected_before_the_first_cell(self, tmp_path,
                                                      monkeypatch, grid, field):
@@ -502,6 +584,22 @@ class TestParameterSweep:
                 "^sweep.z: unknown field for kind 'pool' in experiment "
                 "'ranking'; expected one of alpha$")):
             parameter_sweep(config)
+
+    def test_alpha_only_ranking_sweep(self, tmp_path, capsys):
+        """A ranking pool agent reads no z, so it is swept over alpha alone."""
+        body = (BASE_CONFIG.replace("experiment = mab", "experiment = ranking")
+                .replace("family = gaussian\nK = 4", "L = 6\nK = 2")
+                .replace("z = 0.6\n", "").replace("kind = ucb1", "kind = klucb"))
+        path = write_config(tmp_path, text=body, sweep=["alpha = 0.4,0.6,0.8"])
+        assert cli.main(["sweep", str(path)]) == 0
+        with open(tmp_path / "out" / "sweep.csv") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["alpha", "mean_final_regret", "std_final_regret",
+                           "n_runs"]
+        assert [row[0] for row in rows[1:]] == ["0.4", "0.6", "0.8"]
+        assert all(row[3] == "4" for row in rows[1:])
+        out = capsys.readouterr().out
+        assert out.count("alpha=") == 3 and "z=" not in out
 
     def test_sweep_target_must_be_a_pool_agent(self, tmp_path):
         config = small_config(

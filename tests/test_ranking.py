@@ -283,11 +283,6 @@ class TestRankers:
         ranker.select_list(2)
         assert rng.bit_generator.state != before
 
-    def test_pool_ranker_reports_only_alpha(self):
-        ranker = RewardPoolRanker(6, 3, 10, PoolParams(alpha=0.4, z=0.3),
-                                  np.random.default_rng(12))
-        assert ranker.get_params() == {"alpha": 0.4}
-
     def test_feedback_protocol_enforced(self):
         ranker = KLUCBRanker(5, 2, 10)
         slate = ranker.select_list(1)
