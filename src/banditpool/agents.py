@@ -146,20 +146,21 @@ def ridge_solve(gram: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _cholesky_solve(_cholesky_factor(gram), target)
 
 
-def best_arm(features: np.ndarray, theta: np.ndarray) -> int:
-    """Arm maximizing ``x_i . theta`` (lowest index on ties)."""
-    return int(np.argmax(features @ theta))
-
-
 class Agent:
     """Single-run sequential policy: ``select(t)`` then ``update(t, action, feedback)``.
 
-    Subclasses implement ``_choose`` and ``_learn``.  The base class enforces
-    the round protocol: every selection must be answered by exactly one
-    feedback call for the same round and action.  Feedback that
-    ``_check_feedback`` rejects (here, a reward that is not finite) leaves the
-    round pending.  Rankers (:mod:`banditpool.ranking`) play slates instead.
+    Subclasses implement ``_scores`` and ``_learn``.  Each round plays
+    ``_forced(t)`` when that is not ``None``, and otherwise the argmax of
+    ``_scores(t)`` (lowest index on ties).  The base ``_forced`` plays
+    round-robin through the first ``init_rounds`` rounds, none by default.
+    The base class enforces the round protocol: every selection must be
+    answered by exactly one feedback call for the same round and action.
+    Feedback that ``_check_feedback`` rejects (here, a reward that is not
+    finite) leaves the round pending.  Rankers (:mod:`banditpool.ranking`)
+    play slates instead.
     """
+
+    init_rounds = 0
 
     def __init__(self, n_arms: int, horizon: int) -> None:
         if n_arms < 1:
@@ -202,6 +203,19 @@ class Agent:
         return reward
 
     def _choose(self, t: int):
+        forced = self._forced(t)
+        if forced is not None:
+            return forced
+        return int(self._scores(t).argmax())
+
+    def _forced(self, t: int) -> int | None:
+        """The action round ``t`` must play whatever the scores, or ``None``."""
+        if t <= self.init_rounds:
+            return (t - 1) % self.n_arms
+        return None
+
+    def _scores(self, t: int) -> np.ndarray:
+        """One score per arm; called only in rounds with no forced action."""
         raise NotImplementedError
 
     def _learn(self, t: int, action, feedback) -> None:
@@ -215,24 +229,6 @@ class _ArmStatsAgent(Agent):
         super().__init__(n_arms, horizon)
         self.pulls = np.zeros(n_arms, dtype=np.int64)
         self.totals = np.zeros(n_arms, dtype=float)
-        self._all_pulled = False
-
-    def means(self) -> np.ndarray:
-        return self.totals / np.maximum(self.pulls, 1)
-
-    def _unpulled_arm(self) -> int | None:
-        """The lowest-numbered arm never pulled, or ``None`` if there is none.
-
-        That is the arm a +inf index for unpulled arms selects.  Pull counts
-        never fall, so once every arm has been pulled the counts are not
-        scanned again.
-        """
-        if self._all_pulled:
-            return None
-        if self.pulls.all():
-            self._all_pulled = True
-            return None
-        return int(self.pulls.argmin())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         self.pulls[arm] += 1
@@ -263,16 +259,11 @@ class RewardPoolAgent(_ArmStatsAgent):
             raise RuntimeError("no rewards observed yet")
         return build_pool(self._rewards[: self._seen], self.params.alpha)
 
-    def perturbed_estimates(self) -> np.ndarray:
+    def _scores(self, t: int) -> np.ndarray:
         """Fresh pool-perturbed per-arm estimates (new draws every call)."""
         draws = self.current_pool().draw(self._seen, self.rng)
         return perturbed_mean_estimates(self.totals, self.pulls, draws,
                                         self._arms[: self._seen])
-
-    def _choose(self, t: int) -> int:
-        if t <= self.init_rounds:
-            return (t - 1) % self.n_arms
-        return int(self.perturbed_estimates().argmax())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
@@ -395,14 +386,10 @@ class LinRewardPoolAgent(Agent):
             raise RuntimeError("no rewards observed yet")
         return build_pool(self._y_hist[: self._seen], self.params.alpha)
 
-    def fit_perturbed(self) -> np.ndarray:
-        """One fresh pool-perturbed parameter estimate."""
-        return self._ensure_state().perturbed_fit(self.current_pool(), self.rng)
-
-    def _choose(self, t: int) -> int:
-        if t <= self.init_rounds:
-            return (t - 1) % self.n_arms
-        return best_arm(self.features, self.fit_perturbed())
+    def _scores(self, t: int) -> np.ndarray:
+        """``x_i . theta`` for one fresh pool-perturbed parameter estimate."""
+        theta = self._ensure_state().perturbed_fit(self.current_pool(), self.rng)
+        return self.features @ theta
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         x = self.features[arm]

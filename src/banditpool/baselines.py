@@ -17,7 +17,6 @@ from .agents import (
     _ArmStatsAgent,
     _cholesky_factor,
     _cholesky_solve,
-    best_arm,
     perturbed_mean_estimates,
     ridge_solve,
 )
@@ -37,38 +36,6 @@ def _ucbv(mean, variance, pulls, log_t, range_bound):
     """The UCB-V index of arms that have all been pulled."""
     return mean + (np.sqrt(2.0 * variance * log_t / pulls)
                    + 3.0 * range_bound * log_t / pulls)
-
-
-def _clipped_variance(sumsq, mean, counts):
-    """Empirical variance ``sumsq / counts - mean^2``, clipped below at 0."""
-    return np.maximum(sumsq / counts - mean * mean, 0.0)
-
-
-def ucb1_index(mean, pulls, t):
-    """Classic optimism index ``mean + sqrt(2 ln t / pulls)``; inf when unpulled."""
-    mean = np.asarray(mean, dtype=float)
-    pulls = np.asarray(pulls, dtype=float)
-    mean, pulls = np.broadcast_arrays(mean, pulls)
-    seen = pulls > 0
-    index = np.full(pulls.shape, np.inf)
-    index[seen] = _ucb1(mean[seen], pulls[seen], math.log(t))
-    return index
-
-
-def ucbv_index(mean, variance, pulls, t, range_bound=1.0):
-    """Variance-aware index ``mean + sqrt(2 V ln t / s) + 3 b ln t / s``.
-
-    ``range_bound`` is the assumed reward range; unpulled arms get inf.
-    """
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    pulls = np.asarray(pulls, dtype=float)
-    mean, variance, pulls = np.broadcast_arrays(mean, variance, pulls)
-    seen = pulls > 0
-    index = np.full(pulls.shape, np.inf)
-    index[seen] = _ucbv(mean[seen], variance[seen], pulls[seen], math.log(t),
-                        range_bound)
-    return index
 
 
 def bern_ts_sample(successes, failures, rng: np.random.Generator):
@@ -99,31 +66,40 @@ def phe_pseudo_counts(pulls, a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class UCB1Agent(_ArmStatsAgent):
-    """UCB1 (Auer, Cesa-Bianchi & Fischer, 2002).
+class _OptimisticAgent(_ArmStatsAgent):
+    """An index policy whose index is +inf on an unpulled arm.
 
     While an arm is unpulled the agent plays the lowest-numbered such arm,
-    the one its +inf index would select; run in order, rounds ``1..K`` play
-    arms ``0..K-1``.  After that the index is evaluated on arrays where every
-    arm has been pulled.
+    the one a +inf index would select; run in order, rounds ``1..K`` play
+    arms ``0..K-1``.  After that ``_scores`` evaluates the index on arrays
+    where every arm has been pulled.
     """
 
-    def _indices(self, t: int) -> np.ndarray:
-        """The index of every arm once every arm has been pulled."""
+    _all_pulled = False
+
+    def _forced(self, t: int) -> int | None:
+        """The lowest-numbered arm never pulled, or ``None`` if there is none.
+
+        The choice follows the pull counts, not ``t``.  Pull counts never
+        fall, so once every arm has been pulled they are not scanned again.
+        """
+        if self._all_pulled:
+            return None
+        if self.pulls.all():
+            self._all_pulled = True
+            return None
+        return int(self.pulls.argmin())
+
+
+class UCB1Agent(_OptimisticAgent):
+    """UCB1 (Auer, Cesa-Bianchi & Fischer, 2002)."""
+
+    def _scores(self, t: int) -> np.ndarray:
         return _ucb1(self.totals / self.pulls, self.pulls, math.log(t))
 
-    def _choose(self, t: int) -> int:
-        arm = self._unpulled_arm()
-        if arm is not None:
-            return arm
-        return int(self._indices(t).argmax())
 
-
-class UCBVAgent(_ArmStatsAgent):
-    """UCB with empirical variance; needs a reward-range bound.
-
-    Plays unpulled arms first, as :class:`UCB1Agent` does.
-    """
+class UCBVAgent(_OptimisticAgent):
+    """UCB with empirical variance; needs a reward-range bound."""
 
     def __init__(self, n_arms: int, horizon: int, range_bound: float = 1.0) -> None:
         super().__init__(n_arms, horizon)
@@ -133,21 +109,10 @@ class UCBVAgent(_ArmStatsAgent):
         self.range_bound = float(range_bound)
         self._sumsq = np.zeros(n_arms, dtype=float)
 
-    def variances(self) -> np.ndarray:
-        counts = np.maximum(self.pulls, 1)
-        return _clipped_variance(self._sumsq, self.totals / counts, counts)
-
-    def _indices(self, t: int) -> np.ndarray:
-        """The index of every arm once every arm has been pulled."""
+    def _scores(self, t: int) -> np.ndarray:
         mean = self.totals / self.pulls
-        variance = _clipped_variance(self._sumsq, mean, self.pulls)
+        variance = np.maximum(self._sumsq / self.pulls - mean * mean, 0.0)
         return _ucbv(mean, variance, self.pulls, math.log(t), self.range_bound)
-
-    def _choose(self, t: int) -> int:
-        arm = self._unpulled_arm()
-        if arm is not None:
-            return arm
-        return int(self._indices(t).argmax())
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
@@ -167,10 +132,9 @@ class BernoulliTSAgent(_ArmStatsAgent):
         self.rng = rng if rng is not None else np.random.default_rng()
         self._successes = np.zeros(n_arms, dtype=np.int64)
 
-    def _choose(self, t: int) -> int:
-        samples = bern_ts_sample(self._successes, self.pulls - self._successes,
-                                 self.rng)
-        return int(np.argmax(samples))
+    def _scores(self, t: int) -> np.ndarray:
+        return bern_ts_sample(self._successes, self.pulls - self._successes,
+                              self.rng)
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
@@ -198,10 +162,9 @@ class GaussianTSAgent(_ArmStatsAgent):
         self.prior_mean = float(prior_mean)
         self.rng = rng if rng is not None else np.random.default_rng()
 
-    def _choose(self, t: int) -> int:
-        samples = gauss_ts_sample(self.prior_mean, self.sigma, self.totals,
-                                  self.pulls, self.rng)
-        return int(np.argmax(samples))
+    def _scores(self, t: int) -> np.ndarray:
+        return gauss_ts_sample(self.prior_mean, self.sigma, self.totals,
+                               self.pulls, self.rng)
 
 
 class _PHEAgent(_ArmStatsAgent):
@@ -223,7 +186,7 @@ class _PHEAgent(_ArmStatsAgent):
             return self.rng.integers(0, 2, size=count).astype(float)
         return self.rng.normal(0.5, 0.5, size=count)
 
-    def _estimates(self) -> np.ndarray:
+    def _scores(self, t: int) -> np.ndarray:
         """Fresh per-arm means over the rewards plus ``ceil(a s_i)`` new pseudo
         rewards per arm."""
         counts = phe_pseudo_counts(self.pulls, self.a)
@@ -231,9 +194,6 @@ class _PHEAgent(_ArmStatsAgent):
         owners = np.repeat(np.arange(self.n_arms), counts)
         return perturbed_mean_estimates(self.totals, self.pulls + counts,
                                         pseudo, owners)
-
-    def _choose(self, t: int) -> int:
-        return int(np.argmax(self._estimates()))
 
 
 class BernoulliPHEAgent(_PHEAgent):
@@ -312,8 +272,8 @@ class LinUCBAgent(_LinearAgent):
             raise ValueError(f"width must be >= 0 and finite, got {width}")
         self.width = float(width)
 
-    def _choose(self, t: int) -> int:
-        return int(np.argmax(linucb_scores(self.state, self.features, self.width)))
+    def _scores(self, t: int) -> np.ndarray:
+        return linucb_scores(self.state, self.features, self.width)
 
 
 class LinTSAgent(_LinearAgent):
@@ -326,8 +286,8 @@ class LinTSAgent(_LinearAgent):
         self.sigma_ts = float(sigma_ts)
         self.rng = rng if rng is not None else np.random.default_rng()
 
-    def _choose(self, t: int) -> int:
-        return best_arm(self.features, lints_sample(self.state, self.sigma_ts, self.rng))
+    def _scores(self, t: int) -> np.ndarray:
+        return self.features @ lints_sample(self.state, self.sigma_ts, self.rng)
 
 
 class LinPHEAgent(_LinearAgent):
@@ -344,8 +304,12 @@ class LinPHEAgent(_LinearAgent):
         self.pseudo_family = pseudo_family
         self.rng = rng if rng is not None else np.random.default_rng()
 
-    def _choose(self, t: int) -> int:
+    def _forced(self, t: int) -> int | None:
+        """Round-robin while the history is empty: a fit needs an observation."""
         if self.state.count == 0:
             return (t - 1) % self.n_arms
-        return best_arm(self.features,
-                        linphe_fit(self.state, self.a, self.pseudo_family, self.rng))
+        return None
+
+    def _scores(self, t: int) -> np.ndarray:
+        return self.features @ linphe_fit(self.state, self.a, self.pseudo_family,
+                                          self.rng)

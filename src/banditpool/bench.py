@@ -400,13 +400,13 @@ def _execute_task(args) -> RunResult:
 def collect_runs(config: RunConfig) -> list[RunResult]:
     """Execute every (instance, agent, run) combination, sorted for determinism.
 
-    Instance 0 and every agent on it, with a throwaway generator, are first
-    built once, so a bad env or agent value fails, naming its section,
-    before any task runs.
+    Every instance, and every agent on instance 0 with a throwaway
+    generator, are first built once, so a bad env or agent value fails,
+    naming its section, before any task runs.
     """
     path = "env"
     try:
-        env = make_env(config, 0)
+        env, *_ = [make_env(config, i) for i in range(config.instances)]
         for spec in config.agents:
             path = f"agent.{spec.name}"
             make_agent(spec, config, env, np.random.default_rng(0))

@@ -61,9 +61,6 @@ class _ArmInstance:
         means = self.mean_rewards()
         return float(means.max()) - means
 
-    def best_arm(self) -> int:
-        return int(np.argmax(self.mean_rewards()))
-
     @cached_property
     def _gap_list(self) -> list[float]:
         # A list indexes faster than an array in the per-round ``play``, and

@@ -23,8 +23,6 @@ class RewardPool:
     """
 
     values: np.ndarray     # shape (2m,), zero mean, sign-symmetric
-    alpha: float           # scale applied to the centered rewards
-    source_mean: float     # arithmetic mean of the raw rewards
 
     def __len__(self) -> int:
         return self.values.size
@@ -83,4 +81,4 @@ def build_pool(rewards, alpha: float) -> RewardPool:
     np.subtract(r, mean, out=centered)
     np.multiply(alpha, centered, out=centered)
     np.negative(centered, out=values[1::2])
-    return RewardPool(values=values, alpha=float(alpha), source_mean=mean)
+    return RewardPool(values=values)

@@ -144,7 +144,8 @@ class RankerPolicy(Agent):
 
     The action is a slate of ``slate_size`` distinct items, held pending as a
     tuple, and the feedback is the clicked position or ``None``.  Subclasses
-    score the items in ``_scores``; the slate is the top of that ranking.
+    score the items in ``_scores``; the slate is the top ``slate_size`` of
+    that ranking, and no round is forced.
     """
 
     _key = staticmethod(tuple)
@@ -180,9 +181,6 @@ class RankerPolicy(Agent):
 
     def _learn(self, t: int, slate, click: int | None) -> None:
         cascade_update(self.stats, slate, click)
-
-    def _scores(self, t: int) -> np.ndarray:
-        raise NotImplementedError
 
 
 class KLUCBRanker(RankerPolicy):

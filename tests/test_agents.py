@@ -8,11 +8,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_factor, cho_solve
 
 from banditpool.agents import (
+    Agent,
     LinearModelState,
     LinRewardPoolAgent,
     PoolParams,
     RewardPoolAgent,
-    best_arm,
     init_length,
     perturbed_mean_estimates,
     ridge_solve,
@@ -100,7 +100,7 @@ class TestRewardPoolAgent:
             arm = agent.select(t)
             agent.update(t, arm, 0.7)
         assert np.all(agent.current_pool().values == 0.0)
-        est = agent.perturbed_estimates()
+        est = agent._scores(agent.init_rounds + 1)
         np.testing.assert_allclose(est, [0.7, 0.7])
         assert agent.select(agent.init_rounds + 1) == 0
 
@@ -115,8 +115,8 @@ class TestRewardPoolAgent:
         agent = self.make(horizon=400, seed=4)
         instance = MabInstance(means=[0.3, 0.4, 0.5, 0.6], family="gaussian")
         run_mab(agent, instance, agent.init_rounds, np.random.default_rng(2))
-        first = agent.perturbed_estimates()
-        second = agent.perturbed_estimates()
+        first = agent._scores(agent.init_rounds + 1)
+        second = agent._scores(agent.init_rounds + 1)
         assert not np.array_equal(first, second)
 
     def test_deterministic_replay(self):
@@ -255,7 +255,25 @@ class TestRidgeSolve:
                                    np.linalg.solve(gram, target), rtol=1e-10)
 
 
+class FixedThetaAgent(Agent):
+    """Scores every arm by ``x_i . theta`` for a fixed ``theta``."""
+
+    def __init__(self, features, theta):
+        super().__init__(len(features), 1)
+        self.features, self.theta = features, theta
+
+    def _scores(self, t):
+        return self.features @ self.theta
+
+
+def best_arm(features, theta):
+    """The arm ``Agent.select`` plays on the scores ``features @ theta``."""
+    return FixedThetaAgent(features, theta).select(1)
+
+
 class TestBestArm:
+    """A round with no forced action plays the argmax of ``_scores``."""
+
     def test_one_hot(self):
         features = np.eye(2)
         assert best_arm(features, np.array([1.0, 0.0])) == 0

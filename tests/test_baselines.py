@@ -23,43 +23,61 @@ from banditpool.baselines import (
     lints_sample,
     linucb_scores,
     phe_pseudo_counts,
-    ucb1_index,
-    ucbv_index,
 )
 from banditpool.envs import MabInstance
 
 
+def index_agent(cls, pulls, totals, sumsq=None):
+    """A ``cls`` agent holding the given per-arm statistics."""
+    agent = cls(len(pulls), 10)
+    agent.pulls[:] = pulls
+    agent.totals[:] = totals
+    if sumsq is not None:
+        agent._sumsq[:] = sumsq
+    return agent
+
+
 class TestUCB1Index:
     def test_reference_value(self):
-        assert ucb1_index(0.5, 2, 55) == pytest.approx(2.5018, abs=1e-3)
+        agent = index_agent(UCB1Agent, [2], [1.0])
+        assert agent._scores(55)[0] == pytest.approx(2.5018, abs=1e-3)
 
     def test_bonus_vanishes(self):
-        assert ucb1_index(0.37, 10**9, 100) == pytest.approx(0.37, abs=1e-3)
+        agent = index_agent(UCB1Agent, [10**9], [0.37e9])
+        assert agent._scores(100)[0] == pytest.approx(0.37, abs=1e-3)
 
     def test_unpulled_is_infinite(self):
-        assert ucb1_index(0.0, 0, 10) == np.inf
+        """An unpulled arm is played first, as its +inf index would be."""
+        agent = index_agent(UCB1Agent, [2, 0], [2.0, 0.0])
+        assert agent.select(10) == 1
 
     def test_vectorized(self):
-        idx = ucb1_index([0.5, 0.0], [2, 0], 55)
+        # ln 55 = 4.007: bonus sqrt(2 ln 55 / 8) = 1.0009 on the second arm.
+        idx = index_agent(UCB1Agent, [2, 8], [1.0, 0.0])._scores(55)
         assert idx[0] == pytest.approx(2.5018, abs=1e-3)
-        assert idx[1] == np.inf
+        assert idx[1] == pytest.approx(1.0009, abs=1e-3)
 
 
 class TestUCBVIndex:
     def test_zero_variance_keeps_range_term(self):
-        # ln t = 2, s = 10, b = 1: bonus is 3 * 2 / 10 = 0.6.
-        idx = ucbv_index(0.2, 0.0, 10, math.exp(2.0))
-        assert idx == pytest.approx(0.8, abs=1e-9)
+        # ln t = 2, s = 10, b = 1: bonus is 3 * 2 / 10 = 0.6.  Ten rewards of
+        # 0.25 give exactly zero empirical variance.
+        agent = index_agent(UCBVAgent, [10], [2.5], [0.625])
+        assert agent._scores(math.exp(2.0))[0] == pytest.approx(0.85, abs=1e-9)
 
     def test_reference_value(self):
-        idx = ucbv_index(0.5, 0.25, 2, math.exp(2.0))
-        assert idx == pytest.approx(4.2071, abs=1e-3)
+        # Rewards 0 and 1: mean 0.5, variance 0.25; ln t = 2.
+        agent = index_agent(UCBVAgent, [2], [1.0], [1.0])
+        assert agent._scores(math.exp(2.0))[0] == pytest.approx(4.2071, abs=1e-3)
 
     def test_bonus_vanishes(self):
-        assert ucbv_index(0.4, 0.25, 10**9, 100) == pytest.approx(0.4, abs=1e-3)
+        agent = index_agent(UCBVAgent, [10**9], [0.4e9], [0.41e9])
+        assert agent._scores(100)[0] == pytest.approx(0.4, abs=1e-3)
 
     def test_unpulled_is_infinite(self):
-        assert ucbv_index(0.0, 0.0, 0, 10) == np.inf
+        """An unpulled arm is played first, as its +inf index would be."""
+        agent = index_agent(UCBVAgent, [0, 3], [0.0, 1.5], [0.0, 1.0])
+        assert agent.select(10) == 0
 
 
 class TestBernTSSample:
@@ -139,7 +157,7 @@ class TestPHE:
         agent = BernoulliPHEAgent(1000, 10, a=a, rng=np.random.default_rng(6))
         agent.pulls[:] = pulls
         agent.totals[:] = total
-        draws = np.concatenate([agent._estimates() for _ in range(100)])
+        draws = np.concatenate([agent._scores(1) for _ in range(100)])
         expected = (total + 4 * 0.5) / (pulls + 4)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - expected) < 4 * se
@@ -269,8 +287,11 @@ class TestAgentBehaviour:
                 [(0, 0.0), (1, 1.0), (0, 1.0), (1, 0.0)], start=1):
             agent._pending = (t, arm)
             agent.update(t, arm, reward)
-        # Arm 0 saw (0, 1), arm 1 saw (1, 0): both have variance 1/4.
-        np.testing.assert_allclose(agent.variances(), [0.25, 0.25])
+        # Arm 0 saw (0, 1), arm 1 saw (1, 0): both have mean 1/2 and
+        # variance 1/4, which set the UCB-V index.
+        log_t = math.log(50)
+        index = 0.5 + math.sqrt(2 * 0.25 * log_t / 2) + 3 * log_t / 2
+        np.testing.assert_allclose(agent._scores(50), [index, index])
 
 
 class TestLinearAgents:

@@ -275,6 +275,29 @@ class TestEnvKeys:
                          env={"queries_dir": "queries", "L": 6},
                          agents=(AgentSpec("a", "pool", {}),))
 
+    def test_bad_later_instance_fails_before_the_first_task(
+            self, tmp_path, monkeypatch, capsys):
+        """A bad env in instance 1 is reported before instance 0's tasks."""
+        def no_task(*args):
+            raise AssertionError("a task ran before every instance was built")
+
+        queries = tmp_path / "queries"
+        queries.mkdir()
+        (queries / "q0.txt").write_text("L=2 K=1\n0\t0.5\n1\t0.2\n")
+        (queries / "q1.txt").write_text("L=2 K=1\n0\t0.5\n1\tnan\n")
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nexperiment = ranking\nn = 20\ninstances = 2\n"
+                        "runs = 1\nseed = 1\nout_dir = out\n[env]\n"
+                        "queries_dir = queries\n[agent.a]\nkind = klucb\n")
+        monkeypatch.setattr(bench, "execute_run", no_task)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.match(r"^error: env: queries/q1\.txt: attraction of item 1 "
+                        r"must lie in \[0, 1\], got nan$", err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeeding:
     def test_streams_differ_between_runs(self):

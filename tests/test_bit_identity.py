@@ -1,13 +1,15 @@
 """Rewritten formulas against reference copies of the old ones.
 
-``build_pool``, ``perturbed_mean_estimates``, the UCB1 and UCB-V indices and
-``CascadeInstance.expected_clicks`` were rewritten to drop masks and
-temporaries, and the four per-owner perturbed means (the MAB pool agent, the
-pool ranker, the PHE agents and the PHE ranker) now call
-``perturbed_mean_estimates`` instead of summing their noise inline.  Each
-reference below is the expression the code replaced; the new code must give
-the same bits on every input, since the golden CSV hashes of
-``tests/test_golden.py`` depend on it and cannot see a last-bit change.
+``build_pool``, ``perturbed_mean_estimates``, the UCB1 and UCB-V indices
+(the ``_scores`` of ``UCB1Agent`` and ``UCBVAgent``, and the ``_ucb1`` and
+``_ucbv`` primitives they call) and ``CascadeInstance.expected_clicks`` were
+rewritten to drop masks and temporaries, and the four per-owner perturbed
+means (the ``_scores`` of the MAB pool agent, the pool ranker, the PHE agents
+and the PHE ranker) now call ``perturbed_mean_estimates`` instead of summing
+their noise inline.  Each reference below is the expression the code
+replaced; the new code must give the same bits on every input, since the
+golden CSV hashes of ``tests/test_golden.py`` depend on it and cannot see a
+last-bit change.
 """
 
 import math
@@ -23,8 +25,8 @@ from banditpool.baselines import (
     GaussianPHEAgent,
     UCB1Agent,
     UCBVAgent,
-    ucb1_index,
-    ucbv_index,
+    _ucb1,
+    _ucbv,
 )
 from banditpool.envs import CascadeInstance, MabInstance
 from banditpool.pool import build_pool
@@ -38,7 +40,7 @@ def reference_pool_values(rewards, alpha):
     values = np.empty(2 * r.size, dtype=float)
     values[0::2] = centered
     values[1::2] = -centered
-    return values, mean
+    return values
 
 
 def reference_estimates(totals, pulls, noise_sums):
@@ -104,11 +106,10 @@ class TestBuildPool:
     @settings(deadline=None, max_examples=300)
     @given(rewards_st, alphas, st.floats(-1e8, 1e8))
     def test_values_and_mean_bit_identical(self, rewards, alpha, offset):
+        """The mean is checked through the values, which are centred on it."""
         rewards = rewards + offset
-        values, mean = reference_pool_values(rewards, alpha)
-        pool = build_pool(rewards, alpha)
-        assert np.array_equal(pool.values, values)
-        assert pool.source_mean == mean
+        assert np.array_equal(build_pool(rewards, alpha).values,
+                              reference_pool_values(rewards, alpha))
 
 
 class TestPerturbedMeanEstimates:
@@ -126,7 +127,7 @@ class TestPerturbedMeanEstimates:
 
 
 def reference_pool_agent_estimates(agent):
-    """``RewardPoolAgent.perturbed_estimates`` with its old inline noise sum."""
+    """``RewardPoolAgent._scores`` with its old inline noise sum."""
     pool = agent.current_pool()
     draws = pool.draw(agent._seen, agent.rng)
     noise = np.bincount(agent._arms[: agent._seen], weights=draws,
@@ -135,7 +136,7 @@ def reference_pool_agent_estimates(agent):
 
 
 def reference_phe_estimates(agent):
-    """The estimates ``_PHEAgent._choose`` took the argmax of."""
+    """``_PHEAgent._scores`` with its old inline noise sum."""
     counts = np.ceil(agent.a * np.asarray(agent.pulls, dtype=float)).astype(np.int64)
     pseudo = agent._draw_pseudo(int(counts.sum()))
     owner = np.repeat(np.arange(agent.n_arms), counts)
@@ -219,7 +220,7 @@ class TestPerOwnerCallSites:
         agent = fed(RewardPoolAgent(k, len(arms) + 2, PoolParams(alpha=alpha),
                                     np.random.default_rng(seed)), arms, rewards)
         if arms:
-            new, old = same_draws(agent.perturbed_estimates,
+            new, old = same_draws(lambda: agent._scores(1),
                                   reference_pool_agent_estimates, agent)
             assert np.array_equal(new, old)
 
@@ -230,7 +231,8 @@ class TestPerOwnerCallSites:
         k, arms, rewards = history
         agent = fed(cls(k, len(arms) + 1, a, np.random.default_rng(seed)),
                     arms, rewards)
-        new, old = same_draws(agent._estimates, reference_phe_estimates, agent)
+        new, old = same_draws(lambda: agent._scores(1),
+                              reference_phe_estimates, agent)
         assert np.array_equal(new, old)
 
     @settings(deadline=None, max_examples=200)
@@ -264,13 +266,15 @@ class TestUCBIndices:
         hnp.arrays(np.int64, k, elements=st.integers(0, 10_000)))),
         st.integers(2, 10**7), st.floats(0.1, 10.0))
     def test_primitives_match_the_masked_expressions(self, arrays, t, bound):
+        """On pulled arms, the only ones the primitives are called on."""
         mean, variance, pulls = arrays
-        for counts in (pulls, np.maximum(pulls, 1)):
-            assert np.array_equal(ucb1_index(mean, counts, t),
-                                  reference_ucb1_index(mean, counts, t))
-            assert np.array_equal(
-                ucbv_index(mean, variance, counts, t, bound),
-                reference_ucbv_index(mean, variance, counts, t, bound))
+        counts = np.maximum(pulls, 1)
+        log_t = math.log(t)
+        assert np.array_equal(_ucb1(mean, counts, log_t),
+                              reference_ucb1_index(mean, counts, t))
+        assert np.array_equal(
+            _ucbv(mean, variance, counts, log_t, bound),
+            reference_ucbv_index(mean, variance, counts, t, bound))
 
     @settings(deadline=None, max_examples=200)
     @given(arm_histories(), st.integers(0, 10**6))
@@ -278,10 +282,8 @@ class TestUCBIndices:
         k, arms, rewards = history
         agent = fed(UCB1Agent(k, 10**7), arms, rewards)
         t = k + 1 + offset
-        index = agent._indices(t)
-        assert np.array_equal(index, ucb1_index(agent.means(), agent.pulls, t))
-        assert np.array_equal(
-            index, reference_ucb1_index(reference_means(agent), agent.pulls, t))
+        assert np.array_equal(agent._scores(t), reference_ucb1_index(
+            reference_means(agent), agent.pulls, t))
 
     @settings(deadline=None, max_examples=200)
     @given(arm_histories(), st.integers(0, 10**6), st.floats(0.1, 10.0))
@@ -289,10 +291,7 @@ class TestUCBIndices:
         k, arms, rewards = history
         agent = fed(UCBVAgent(k, 10**7, range_bound=bound), arms, rewards)
         t = k + 1 + offset
-        index = agent._indices(t)
-        assert np.array_equal(index, ucbv_index(
-            agent.means(), agent.variances(), agent.pulls, t, bound))
-        assert np.array_equal(index, reference_ucbv_index(
+        assert np.array_equal(agent._scores(t), reference_ucbv_index(
             reference_means(agent), reference_variances(agent), agent.pulls,
             t, bound))
 
@@ -313,7 +312,8 @@ class TestUCBIndices:
         """The choice follows the pulls, as the +inf index does, not ``t``."""
         for agent in (UCB1Agent(3, 10), UCBVAgent(3, 10)):
             agent.update(1, agent.select(1), 0.5)
-            expected = int(ucb1_index(agent.means(), agent.pulls, 3).argmax())
+            expected = int(reference_ucb1_index(
+                reference_means(agent), agent.pulls, 3).argmax())
             assert agent.select(3) == expected == 1
 
 

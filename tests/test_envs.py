@@ -78,7 +78,7 @@ class TestGaps:
     def test_two_arm_example(self):
         inst = MabInstance(means=[0.7, 0.4], family="bernoulli")
         np.testing.assert_allclose(inst.gaps(), [0.0, 0.3])
-        assert inst.best_arm() == 0
+        assert int(np.argmax(inst.mean_rewards())) == 0
 
     def test_all_equal(self):
         inst = MabInstance(means=[0.5, 0.5, 0.5], family="gaussian")
@@ -89,7 +89,7 @@ class TestGaps:
         means = np.array([inst.features[i] @ inst.theta_star
                           for i in range(inst.n_arms)])
         np.testing.assert_allclose(inst.gaps(), means.max() - means)
-        assert inst.best_arm() == int(np.argmax(means))
+        assert inst.gaps()[int(np.argmax(means))] == 0.0
 
     def test_gaps_nonnegative_and_zero_at_best(self):
         rng = np.random.default_rng(9)
@@ -97,7 +97,7 @@ class TestGaps:
             inst = generate_mab(int(rng.integers(2, 12)), "gaussian", rng)
             gaps = inst.gaps()
             assert np.all(gaps >= 0.0)
-            assert gaps[inst.best_arm()] == 0.0
+            assert gaps[int(np.argmax(inst.mean_rewards()))] == 0.0
 
 
 class TestGenerateLinear:
