@@ -13,6 +13,10 @@ into ``Agent._choose``, by hashing the vector each kind's former ``_choose``
 took the argmax of on the same episodes.  Like the golden hashes, they are
 tied to the numpy, scipy and BLAS/LAPACK builds they were recorded with
 (numpy 2.4.6, scipy 1.17.1, OpenBLAS on x86-64).
+
+A second table gates the linear paths that default parameters never run
+(``auto_ridge``, a zero ridge, Bernoulli LinPHE pseudo rewards); its values
+were recorded before the four linear kinds came to share one linear model.
 """
 
 import hashlib
@@ -49,15 +53,30 @@ SCORES_SHA256 = {
     ("ranking", "bern_phe"): "43fc04b9fd91c8736daae667a25808368fb9de9d5b46e464a972a41a4927c925",
 }
 
+# Linear paths the default parameters leave untouched, on the same episode:
+# name (the agent name that seeds its stream) -> (kind, params, SHA-256).
+LINEAR_VARIANT_SHA256 = {
+    "pool_auto": ("pool", {"auto_ridge": True},
+                  "f514f9109bc73e8dd417de926707396b6bb11a6e9c069324e8ac89a9a4b418f7"),
+    "pool_lambda0": ("pool", {"lambda": 0.0},
+                     "2411c38dda51d2cd47cda17f438ac9a48406bea6f08ff2453edfb1fd886f50d8"),
+    "linphe_bern": ("linphe", {"pseudo": "bernoulli"},
+                    "be55fe74851e413d29e8e699ff7d2aa99b9e525fe462ce539ef7fa31d46c89b4"),
+}
 
-def scores_digest(experiment: str, kind: str) -> str:
-    """SHA-256 over the bytes of every ``_scores`` vector of one episode."""
-    spec = AgentSpec(kind, kind, {})
+
+def scores_digest(experiment: str, kind: str, params=None, name=None) -> str:
+    """SHA-256 over the bytes of every ``_scores`` vector of one episode.
+
+    The agent is named ``name`` (by default its kind), which seeds its stream.
+    """
+    name = name or kind
+    spec = AgentSpec(name, kind, params or {})
     config = RunConfig(experiment=experiment, env=ENVS[experiment],
                        agents=(spec,), horizon=HORIZON, instances=1, runs=1,
                        seed=SEED, out_dir="unused")
     env = make_env(config, 0)
-    env_rng, agent_rng = run_streams(SEED, 0, kind, 0)
+    env_rng, agent_rng = run_streams(SEED, 0, name, 0)
     agent = make_agent(spec, config, env, agent_rng)
     digest = hashlib.sha256()
     scores = agent._scores
@@ -79,3 +98,9 @@ def test_every_kind_is_gated():
 @pytest.mark.parametrize("experiment, kind", list(SCORES_SHA256))
 def test_scores_unchanged(experiment, kind):
     assert scores_digest(experiment, kind) == SCORES_SHA256[experiment, kind]
+
+
+@pytest.mark.parametrize("name", list(LINEAR_VARIANT_SHA256))
+def test_linear_variant_scores_unchanged(name):
+    kind, params, expected = LINEAR_VARIANT_SHA256[name]
+    assert scores_digest("linear", kind, params, name) == expected
