@@ -273,39 +273,24 @@ class RewardPoolAgent(_ArmStatsAgent):
 
 
 class LinearModelState:
-    """Ridge-regression sufficient statistics plus the raw history.
+    """The (feature, reward) history of a linear agent and its ridge fit.
 
-    Keeps the regularized Gram matrix ``lambda * I + sum x x^T``, the
-    reward-weighted feature sum, and the full (feature, reward) history so
-    per-round re-perturbation can touch every past observation.
+    ``add`` stores one observation.  Once ``start`` has fixed the ridge
+    regularizer, the regularized Gram matrix ``lambda * I + sum x x^T`` and the
+    reward-weighted feature sum ``sum x y`` are kept up to date as well; the
+    history stays, so per-round re-perturbation can touch every observation.
     """
 
-    def __init__(self, dim: int, ridge_lambda: float, capacity: int) -> None:
+    def __init__(self, dim: int, capacity: int) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if not 0.0 <= ridge_lambda < math.inf:
-            raise ValueError(
-                f"ridge_lambda must be >= 0 and finite, got {ridge_lambda}")
         self.dim = dim
-        self.ridge_lambda = float(ridge_lambda)
-        self.gram = ridge_lambda * np.eye(dim)
-        self.xy_sum = np.zeros(dim)
         self._x = np.empty((capacity, dim), dtype=float)
         self._y = np.empty(capacity, dtype=float)
         self.count = 0
-
-    @classmethod
-    def from_history(cls, xs: np.ndarray, ys: np.ndarray, ridge_lambda: float,
-                     capacity: int | None = None) -> "LinearModelState":
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        state = cls(xs.shape[1], ridge_lambda, capacity or xs.shape[0])
-        state.gram += xs.T @ xs
-        state.xy_sum += xs.T @ ys
-        state._x[: xs.shape[0]] = xs
-        state._y[: ys.shape[0]] = ys
-        state.count = xs.shape[0]
-        return state
+        self.ridge_lambda: float | None = None
+        self.gram: np.ndarray | None = None
+        self.xy_sum: np.ndarray | None = None
 
     @property
     def xs(self) -> np.ndarray:
@@ -315,57 +300,82 @@ class LinearModelState:
     def ys(self) -> np.ndarray:
         return self._y[: self.count]
 
+    def start(self, ridge_lambda: float) -> None:
+        """Form the fit's statistics from the observations stored so far."""
+        if not 0.0 <= ridge_lambda < math.inf:
+            raise ValueError(
+                f"ridge_lambda must be >= 0 and finite, got {ridge_lambda}")
+        xs = self.xs
+        self.ridge_lambda = float(ridge_lambda)
+        self.gram = ridge_lambda * np.eye(self.dim)
+        self.gram += xs.T @ xs
+        self.xy_sum = np.zeros(self.dim)
+        self.xy_sum += xs.T @ self.ys
+
     def add(self, x: np.ndarray, y: float) -> None:
         if self.count == self._x.shape[0]:
             raise RuntimeError("linear model history capacity exceeded")
         self._x[self.count] = x
         self._y[self.count] = y
         self.count += 1
-        self.gram += np.outer(x, x)
-        self.xy_sum += y * x
+        if self.gram is not None:
+            self.gram += np.outer(x, x)
+            self.xy_sum += y * x
 
     def mean_fit(self) -> np.ndarray:
         """Unperturbed ridge estimate ``G^{-1} sum x y``."""
         return ridge_solve(self.gram, self.xy_sum)
 
-    def perturbed_fit(self, pool: RewardPool, rng: np.random.Generator) -> np.ndarray:
-        """Ridge fit with every past reward shifted by a fresh pool draw.
+    def perturbed_fit(self, noise: np.ndarray) -> np.ndarray:
+        """Ridge fit with past reward ``y_l`` shifted by ``noise[l]``.
 
-        Solves ``G theta = sum x_l (y_l + z_l)`` where the ``z_l`` are drawn
-        i.i.d. from the pool anew on every call.
+        Solves ``G theta = sum x_l (y_l + noise_l)``, the linear counterpart
+        of :func:`perturbed_mean_estimates`.
         """
-        if self.count == 0:
-            raise RuntimeError("cannot fit an empty history")
-        draws = pool.draw(self.count, rng)
-        return ridge_solve(self.gram, self.xy_sum + self.xs.T @ draws)
+        return ridge_solve(self.gram, self.xy_sum + self.xs.T @ noise)
 
 
-class LinRewardPoolAgent(Agent):
-    """Linear bandit agent: pool-perturbed ridge regression, greedy argmax."""
+class _LinearAgent(Agent):
+    """A ridge fit over a fixed, finite arm-feature matrix.
+
+    Each round's observation joins ``state``; subclasses call
+    ``state.start`` to fix the regularizer before their first fit.
+    """
+
+    def __init__(self, features: np.ndarray, horizon: int) -> None:
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2:
+            raise ValueError("features must be a (K, d) matrix")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+        super().__init__(features.shape[0], horizon)
+        self.features = features
+        self.dim = features.shape[1]
+        self.state = LinearModelState(self.dim, capacity=horizon)
+
+    def _learn(self, t: int, arm: int, reward: float) -> None:
+        self.state.add(self.features[arm], reward)
+
+
+class LinRewardPoolAgent(_LinearAgent):
+    """Linear bandit agent: pool-perturbed ridge regression, greedy argmax.
+
+    The ridge fit starts at the first round after the warm-up, so that
+    ``auto_ridge`` can read the warm-up Gram matrix.
+    """
 
     def __init__(self, features: np.ndarray, horizon: int,
                  params: PoolParams = PoolParams(),
                  rng: np.random.Generator | None = None) -> None:
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a (K, d) matrix")
-        super().__init__(features.shape[0], horizon)
-        self.features = features
-        self.dim = features.shape[1]
+        super().__init__(features, horizon)
         self.params = params
         self.rng = rng if rng is not None else np.random.default_rng()
         self.init_rounds = init_length(horizon, params.z, self.dim)
-        self._x_hist = np.empty((horizon, self.dim), dtype=float)
-        self._y_hist = np.empty(horizon, dtype=float)
-        self._seen = 0
-        # Built lazily at the first post-warm-up round so auto_ridge can read
-        # the warm-up Gram matrix before fixing the regularizer.
-        self.state: LinearModelState | None = None
 
     def _ridge_value(self) -> float:
         if not self.params.auto_ridge:
             return self.params.ridge_lambda
-        xs = self._x_hist[: self._seen]
+        xs = self.state.xs
         smallest = float(np.linalg.eigvalsh(xs.T @ xs)[0])
         if smallest <= 0:
             raise RuntimeError(
@@ -374,27 +384,14 @@ class LinRewardPoolAgent(Agent):
         # Fixed point of lam = min_eig(G0 + lam I) / 4 for the regularized gram.
         return smallest / 3.0
 
-    def _ensure_state(self) -> LinearModelState:
-        if self.state is None:
-            self.state = LinearModelState.from_history(
-                self._x_hist[: self._seen], self._y_hist[: self._seen],
-                self._ridge_value(), capacity=self.horizon)
-        return self.state
-
     def current_pool(self) -> RewardPool:
-        if self._seen == 0:
+        if self.state.count == 0:
             raise RuntimeError("no rewards observed yet")
-        return build_pool(self._y_hist[: self._seen], self.params.alpha)
+        return build_pool(self.state.ys, self.params.alpha)
 
     def _scores(self, t: int) -> np.ndarray:
         """``x_i . theta`` for one fresh pool-perturbed parameter estimate."""
-        theta = self._ensure_state().perturbed_fit(self.current_pool(), self.rng)
-        return self.features @ theta
-
-    def _learn(self, t: int, arm: int, reward: float) -> None:
-        x = self.features[arm]
-        self._x_hist[self._seen] = x
-        self._y_hist[self._seen] = reward
-        self._seen += 1
-        if self.state is not None:
-            self.state.add(x, reward)
+        if self.state.gram is None:
+            self.state.start(self._ridge_value())
+        draws = self.current_pool().draw(self.state.count, self.rng)
+        return self.features @ self.state.perturbed_fit(draws)

@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError("run.instances: must be >= 1")
         if self.runs < 1:
             raise ConfigError("run.runs: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("run.seed: must be >= 0")
         if self.stride < 1 or self.stride > self.horizon:
             raise ConfigError("run.stride: must be in [1, n]")
         if self.workers < 1:

@@ -294,7 +294,8 @@ class TestBestArm:
 class TestLinearModelState:
     def test_gram_recomputable_from_history(self):
         rng = np.random.default_rng(15)
-        state = LinearModelState(3, ridge_lambda=1.0, capacity=50)
+        state = LinearModelState(3, capacity=50)
+        state.start(1.0)
         for _ in range(50):
             state.add(rng.normal(size=3), float(rng.normal()))
         recomputed = np.eye(3) + state.xs.T @ state.xs
@@ -303,28 +304,32 @@ class TestLinearModelState:
 
     def test_gram_stays_positive_definite(self):
         rng = np.random.default_rng(16)
-        state = LinearModelState(4, ridge_lambda=0.5, capacity=100)
+        state = LinearModelState(4, capacity=100)
+        state.start(0.5)
         for _ in range(100):
             state.add(rng.normal(size=4), float(rng.normal()))
             assert np.linalg.eigvalsh(state.gram)[0] >= 0.5 - 1e-9
 
     def test_zero_perturbation_recovers_mean_fit(self):
         rng = np.random.default_rng(17)
-        state = LinearModelState(2, ridge_lambda=1.0, capacity=10)
+        state = LinearModelState(2, capacity=10)
+        state.start(1.0)
         for _ in range(10):
             state.add(rng.normal(size=2), float(rng.normal()))
         zero_pool = build_pool([0.4] * 10, alpha=1.0)
-        np.testing.assert_allclose(
-            state.perturbed_fit(zero_pool, np.random.default_rng(0)),
-            state.mean_fit())
+        draws = zero_pool.draw(state.count, np.random.default_rng(0))
+        np.testing.assert_allclose(state.perturbed_fit(draws), state.mean_fit())
 
     def test_one_hot_reduction_of_the_fit(self):
         """Diagonal gram with one-hot features gives per-arm perturbed means."""
         xs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         ys = np.array([1.0, 0.5, 0.0])
         noise = np.array([0.2, -0.1, 0.3])
-        state = LinearModelState.from_history(xs, ys, ridge_lambda=0.0)
-        theta = ridge_solve(state.gram, state.xy_sum + xs.T @ noise)
+        state = LinearModelState(2, capacity=3)
+        for x, y in zip(xs, ys):
+            state.add(x, y)
+        state.start(0.0)
+        theta = state.perturbed_fit(noise)
         np.testing.assert_allclose(
             theta, [(1.0 + 0.0 + 0.2 + 0.3) / 2, (0.5 - 0.1) / 1])
 
@@ -406,7 +411,7 @@ class TestLinRewardPoolAgent:
         smallest = np.linalg.eigvalsh(agent.state.gram)[0]
         # The regularizer solves lam = min_eig(gram) / 4 including itself;
         # the gram at the first fit satisfied the fixed point exactly.
-        state_at_fit = agent._x_hist[: agent.init_rounds]
+        state_at_fit = agent.state.xs[: agent.init_rounds]
         base = np.linalg.eigvalsh(state_at_fit.T @ state_at_fit)[0]
         assert lam == pytest.approx((base + lam) / 4.0)
         assert smallest >= lam

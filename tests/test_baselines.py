@@ -19,7 +19,6 @@ from banditpool.baselines import (
     UCBVAgent,
     bern_ts_sample,
     gauss_ts_sample,
-    linphe_fit,
     lints_sample,
     linucb_scores,
     phe_pseudo_counts,
@@ -169,7 +168,8 @@ class TestPHE:
 
 class TestLinearPrimitives:
     def make_state(self):
-        state = LinearModelState(1, ridge_lambda=1.0, capacity=4)
+        state = LinearModelState(1, capacity=4)
+        state.start(1.0)
         state.add(np.array([1.0]), 1.0)
         state.add(np.array([1.0]), 0.0)
         return state
@@ -184,7 +184,8 @@ class TestLinearPrimitives:
         rng = np.random.default_rng(21)
         for dim, n_arms in [(1, 3), (4, 7), (10, 50)]:
             features = rng.normal(size=(n_arms, dim))
-            state = LinearModelState(dim, ridge_lambda=1.0, capacity=30)
+            state = LinearModelState(dim, capacity=30)
+            state.start(1.0)
             for _ in range(30):
                 state.add(features[rng.integers(n_arms)], float(rng.normal()))
             factor = cho_factor(state.gram, lower=True)
@@ -212,21 +213,28 @@ class TestLinearPrimitives:
         assert abs(draws.mean() - 1.0 / 3.0) < 4 * (0.5 / math.sqrt(3)) / math.sqrt(draws.size)
         assert abs(draws.std() - 0.5 / math.sqrt(3.0)) < 0.005
 
+    @staticmethod
+    def linphe_after(rewards, a, pseudo_family, rng):
+        """LinPHE on d = 1, feature 1, having observed ``rewards``."""
+        agent = LinPHEAgent(np.array([[1.0]]), len(rewards) + 1, a=a,
+                            pseudo_family=pseudo_family, rng=rng)
+        for t, reward in enumerate(rewards, start=1):
+            agent.update(t, agent.select(t), reward)
+        return agent
+
     def test_linphe_bernoulli_support(self):
         """d = 1 with one observation: the fit lands on one of two values."""
-        state = LinearModelState(1, ridge_lambda=1.0, capacity=1)
-        state.add(np.array([1.0]), 1.0)
-        rng = np.random.default_rng(8)
+        agent = self.linphe_after([1.0], 0.8, "bernoulli",
+                                  np.random.default_rng(8))
         support = {(1.0 + z) / 2.0 for z in (0.4, -0.4)}
         for _ in range(40):
-            theta = linphe_fit(state, 0.8, "bernoulli", rng)
+            theta = agent._scores(2)
             assert any(math.isclose(theta[0], v) for v in support)
 
     def test_linphe_gaussian_centering(self):
-        rng = np.random.default_rng(9)
-        state = self.make_state()
-        draws = np.array([linphe_fit(state, 0.5, "gaussian", rng)[0]
-                          for _ in range(50_000)])
+        agent = self.linphe_after([1.0, 0.0], 0.5, "gaussian",
+                                  np.random.default_rng(9))
+        draws = np.array([agent._scores(3)[0] for _ in range(50_000)])
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0 / 3.0) < 4 * se
 

@@ -196,11 +196,14 @@ class TestAgentKeys:
                      "queries_dir = queries\n[agent.ucb1]\nkind = klucb",
                      r"^env: queries/q0\.txt: attraction of item 1 must lie in "
                      r"\[0, 1\], got nan$", id="env-nan-attraction"),
+        pytest.param("[run]\nexperiment = mab\nn = 120\ninstances = 2\n"
+                     "runs = 2\nseed = -1\nout_dir = {out}",
+                     "^run.seed: must be >= 0$", id="run-negative-seed"),
     ])
     def test_bad_agent_fails_before_the_first_task(self, tmp_path, monkeypatch,
                                                    capsys, line, field):
-        """A bad env value, or a bad value in a later agent section, stops
-        the run before any task runs, with a one-line error and exit status
+        """A bad run or env value, or a bad value in a later agent section,
+        stops the run before any task runs, with a one-line error and exit status
         2, and no CSV is written.  ``line`` joins a pool agent section that
         follows the others, unless it opens sections of its own, which then
         replace the base config's sections of those names."""

@@ -2,8 +2,10 @@
 
 Only the linear agents' ridge solves need ``scipy.linalg`` and only runs with
 ``workers > 1`` need a process pool, so importing the package loads neither;
-the LAPACK bindings arrive with the first solve.  Each test starts a new
-interpreter because this test process has long since imported both.
+the LAPACK bindings arrive with the first solve.  The last test checks that
+the benchmark's tracer still finds every banditpool name it patches.  Each
+test starts a new interpreter because this test process has long since
+imported both.
 """
 
 import json
@@ -55,7 +57,8 @@ def test_first_solves_bit_identical_to_scipy_wrappers(tmp_path, first):
 
         rng = np.random.default_rng(5)
         features = rng.normal(size=(50, 10))
-        state = LinearModelState(10, ridge_lambda=1.0, capacity=40)
+        state = LinearModelState(10, capacity=40)
+        state.start(1.0)
         for _ in range(40):
             state.add(features[rng.integers(50)], float(rng.normal()))
         rhs = rng.normal(size=10)
@@ -76,3 +79,29 @@ def test_first_solves_bit_identical_to_scipy_wrappers(tmp_path, first):
     solved = reference_ridge_solve(gram, features.T)
     norms = np.sqrt(np.maximum(np.einsum("dk,dk->k", features.T, solved), 0.0))
     assert np.array_equal(saved["linucb_scores"], features @ theta + 0.7 * norms)
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    """The benchmark's tracer patches banditpool names such as
+    ``baselines.ridge_solve`` by ``getattr``, so deleting one breaks every
+    traced benchmark run; ``perfbench/`` is not among the test paths, hence
+    this check.  Nothing under ``perfbench/`` is edited."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    out = run_fresh(f"""
+        import sys
+        sys.path.insert(0, {str(perfbench)!r})
+        import numpy as np
+        import tracing
+        from banditpool import agents, baselines
+
+        solve = agents.ridge_solve
+        tracer = tracing.Tracer().install()
+        assert baselines.ridge_solve is not solve
+        agent = baselines.LinPHEAgent(np.eye(2), 10, rng=np.random.default_rng(0))
+        for t in range(1, 11):
+            agent.update(t, agent.select(t), 0.5)
+        tracer.uninstall()
+        assert agents.ridge_solve is solve and baselines.ridge_solve is solve
+        print(tracer.calls("agents.ridge_solve"))
+    """)
+    assert int(out) == 9

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from banditpool.agents import LinearModelState, PoolParams
+from banditpool.agents import LinearModelState, LinRewardPoolAgent, PoolParams
 from banditpool.baselines import (
     BernoulliPHEAgent,
     GaussianPHEAgent,
@@ -40,7 +40,7 @@ FEATURES = np.eye(2)
     ("ridge_lambda", lambda: PoolParams(ridge_lambda=NAN)),
     ("ridge_lambda", lambda: PoolParams(ridge_lambda=INF)),
     ("alpha", lambda: build_pool([0.0, 1.0], NAN)),
-    ("ridge_lambda", lambda: LinearModelState(2, NAN, capacity=4)),
+    ("ridge_lambda", lambda: LinearModelState(2, capacity=4).start(NAN)),
 ], ids=["pool-alpha-nan", "pool-alpha-inf", "pool-z-nan", "pool-lambda-nan",
         "pool-lambda-inf", "build_pool-alpha", "linear-state-lambda"])
 def test_pool_parameters(field, build):
@@ -90,3 +90,12 @@ def test_cascade_file_with_a_nan_record(tmp_path):
 def test_baseline_parameters(field, build):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+@pytest.mark.parametrize("cls", [LinRewardPoolAgent, LinUCBAgent, LinTSAgent,
+                                 LinPHEAgent])
+def test_linear_agent_features(cls):
+    """A NaN feature row is rejected when the agent is built, not rounds
+    later by a ridge solve."""
+    with pytest.raises(ValueError, match="features must be finite"):
+        cls(np.array([[NAN, 0.0], [0.0, 1.0]]), 10)
