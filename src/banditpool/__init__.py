@@ -39,10 +39,8 @@ from .baselines import (
 from .ranking import (
     BernoulliPHERanker,
     BernoulliTSRanker,
-    ItemStats,
     KLUCBRanker,
     RewardPoolRanker,
-    cascade_update,
     klucb_index,
     rank_topk,
 )

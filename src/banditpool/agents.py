@@ -61,8 +61,8 @@ def init_length(horizon: int, z: float, dims: int) -> int:
     sized so the empirical reward variance after warm-up stays above a ``z/2``
     fraction of the true variance with high probability.
     """
-    if horizon < 2:
-        raise ValueError(f"horizon must be at least 2, got {horizon}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not 0.0 < z < 1.0:
         raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
     if dims < 1:
@@ -260,7 +260,13 @@ class RewardPoolAgent(_ArmStatsAgent):
         return build_pool(self._rewards[: self._seen], self.params.alpha)
 
     def _scores(self, t: int) -> np.ndarray:
-        """Fresh pool-perturbed per-arm estimates (new draws every call)."""
+        """Fresh pool-perturbed per-arm estimates (new draws every call).
+
+        All ``+inf`` while no reward is stored, which happens only in a
+        ranker's first round (rankers play no warm-up); no pool is built.
+        """
+        if self._seen == 0:
+            return np.full(self.n_arms, np.inf)
         draws = self.current_pool().draw(self._seen, self.rng)
         return perturbed_mean_estimates(self.totals, self.pulls, draws,
                                         self._arms[: self._seen])

@@ -123,6 +123,12 @@ class RunConfig:
                 _check_fields(f"agent.{spec.name}", spec.params,
                               AGENTS[self.experiment, spec.kind].params,
                               _owner(self.experiment, spec.kind))
+            if (spec.params.get("auto_ridge") is True
+                    and "lambda" in spec.params):
+                raise ConfigError(
+                    f"agent.{spec.name}.lambda: not read with "
+                    f"agent.{spec.name}.auto_ridge, which derives the ridge "
+                    "regularizer from the warm-up Gram matrix")
         _check_fields("env", self.env, ENVS[self.experiment].params,
                       _owner(self.experiment))
         extra = [key for key in self.env if key != "queries_dir"]

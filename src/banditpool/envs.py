@@ -304,26 +304,31 @@ def load_cascade_file(path) -> CascadeInstance:
     header = text[0].split()
     try:
         keys = dict(part.split("=", 1) for part in header)
+        if len(header) != 2 or keys.keys() != {"L", "K"}:
+            raise ValueError("expected exactly the keys L and K")
         n_items = int(keys["L"])
         slate = int(keys["K"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
     if len(text) - 1 != n_items:
         raise ValueError(f"{path}: expected {n_items} records, found {len(text) - 1}")
     attractions = np.full(n_items, -1.0)
     for line in text[1:]:
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"{path}: malformed record {line!r}")
-        item = int(fields[0])
+        try:
+            item, weight = line.split("\t")
+            item, weight = int(item), float(weight)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed record {line!r}") from exc
         if not 0 <= item < n_items:
             raise ValueError(f"{path}: item id {item} out of range")
         if attractions[item] >= 0:
             raise ValueError(f"{path}: duplicate record for item {item}")
-        weight = float(fields[1])
         if not 0.0 <= weight <= 1.0:
             raise ValueError(
                 f"{path}: attraction of item {item} must lie in [0, 1], "
                 f"got {weight}")
         attractions[item] = weight
-    return CascadeInstance(attractions=attractions, slate_size=slate)
+    try:
+        return CascadeInstance(attractions=attractions, slate_size=slate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

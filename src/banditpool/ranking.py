@@ -1,22 +1,27 @@
 """Top-K list policies for the cascade environment.
 
-Each policy keeps per-item attraction statistics under the cascade feedback
-convention (positions above a click were examined and did not attract; with
-no click every shown position was examined) and reranks items by a per-item
-score: a KL-based upper confidence bound, a Thompson sample, a perturbed
-history estimate, or a reward-pool perturbed mean.
+A ranker is a slate over a multi-armed agent whose arms are the items: it
+shows the items with the ``slate_size`` highest scores, and folds each
+round's cascade feedback into that agent as one Bernoulli observation per
+examined position (Kveton et al., ICML 2015).  The per-item agent is KL-UCB,
+Beta-Bernoulli Thompson sampling, Bernoulli perturbed history, or the
+reward-pool agent, so each algorithm has one implementation for both
+settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Agent, PoolParams, perturbed_mean_estimates
-from .baselines import phe_pseudo_counts
-from .pool import build_pool
+from .agents import Agent, PoolParams, RewardPoolAgent, _ArmStatsAgent
+from .baselines import BernoulliPHEAgent, BernoulliTSAgent
+
+# Nothing here calls build_pool: the pool ranker builds its pools through
+# ``agents.build_pool``.  perfbench's tracer patches ``ranking.build_pool``
+# by name, so the name must stay importable.
+from .pool import build_pool  # noqa: F401
 
 
 def kl_bernoulli(p: float, q: float) -> float:
@@ -82,7 +87,7 @@ def klucb_solve(mean: float, observations: int, budget: float,
         q -= step
 
 
-def klucb_index(clicks: int, observations: int, t: int,
+def klucb_index(clicks: float, observations: int, t: int,
                 tol: float = 1e-6) -> float:
     """Per-item upper confidence bound; items never observed score 1.0."""
     if observations < 1:
@@ -100,40 +105,6 @@ def rank_topk(scores, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
-@dataclass
-class ItemStats:
-    """Per-item attraction observations and clicks."""
-
-    observations: np.ndarray
-    clicks: np.ndarray
-
-    @classmethod
-    def empty(cls, n_items: int) -> "ItemStats":
-        return cls(observations=np.zeros(n_items, dtype=np.int64),
-                   clicks=np.zeros(n_items, dtype=np.int64))
-
-
-def cascade_update(stats: ItemStats, ranked, click_pos: int | None) -> ItemStats:
-    """Fold one round of cascade feedback into the per-item statistics.
-
-    With a click at position p, items above p were examined without
-    attracting, the clicked item attracted, and items below p stay untouched.
-    Without a click every shown item was examined without attracting.
-    """
-    if click_pos is None:
-        examined = len(ranked)
-    else:
-        if not 0 <= click_pos < len(ranked):
-            raise ValueError(
-                f"click position {click_pos} inconsistent with a slate of "
-                f"{len(ranked)} items")
-        examined = click_pos + 1
-        stats.clicks[ranked[click_pos]] += 1
-    for pos in range(examined):
-        stats.observations[ranked[pos]] += 1
-    return stats
-
-
 # ---------------------------------------------------------------------------
 # List policies
 # ---------------------------------------------------------------------------
@@ -144,11 +115,17 @@ class RankerPolicy(Agent):
 
     The action is a slate of ``slate_size`` distinct items, held pending as a
     tuple, and the feedback is the clicked position or ``None``.  Subclasses
-    score the items in ``_scores``; the slate is the top ``slate_size`` of
-    that ranking, and no round is forced.
+    set ``items``, a multi-armed agent whose arms are the items, sized for
+    ``capacity`` observations, one per shown position.  The slate is the top
+    ``slate_size`` of its scores, and no round is forced.  Items above a
+    click were examined and did not attract, the clicked item attracted,
+    and items below it were not examined; with no click every shown item
+    was examined.  Each examined item is one observation for ``items``:
+    reward 1.0 if clicked, else 0.0.
     """
 
     _key = staticmethod(tuple)
+    items: Agent
 
     def __init__(self, n_items: int, slate_size: int, horizon: int) -> None:
         if not 1 <= slate_size <= n_items:
@@ -157,7 +134,7 @@ class RankerPolicy(Agent):
         super().__init__(n_items, horizon)
         self.n_items = n_items
         self.slate_size = slate_size
-        self.stats = ItemStats.empty(n_items)
+        self.capacity = horizon * slate_size
 
     def select(self, t: int) -> list[int]:
         # perfbench times a ranker's selection under the name select_list,
@@ -170,6 +147,7 @@ class RankerPolicy(Agent):
     def _check_feedback(self, t: int, slate, click: int | None) -> int | None:
         """The click position; ``ValueError`` unless ``None`` or on the slate."""
         if click is None or (isinstance(click, (int, np.integer))
+                             and not isinstance(click, bool)
                              and 0 <= click < len(slate)):
             return click
         raise ValueError(
@@ -179,18 +157,30 @@ class RankerPolicy(Agent):
     def _choose(self, t: int) -> list[int]:
         return rank_topk(self._scores(t), self.slate_size)
 
+    def _scores(self, t: int) -> np.ndarray:
+        return self.items._scores(t)
+
     def _learn(self, t: int, slate, click: int | None) -> None:
-        cascade_update(self.stats, slate, click)
+        learn = self.items._learn
+        for pos in range(len(slate) if click is None else click + 1):
+            learn(t, slate[pos], 1.0 if pos == click else 0.0)
+
+
+class _KLUCBAgent(_ArmStatsAgent):
+    """Bernoulli KL-UCB indices over the per-arm rewards; unpulled arms score 1."""
+
+    def _scores(self, t: int) -> np.ndarray:
+        return np.array([klucb_index(clicks, observations, t)
+                         for clicks, observations
+                         in zip(self.totals.tolist(), self.pulls.tolist())])
 
 
 class KLUCBRanker(RankerPolicy):
     """Rank by per-item KL upper confidence bounds."""
 
-    def _scores(self, t: int) -> np.ndarray:
-        return np.array([
-            klucb_index(int(self.stats.clicks[i]), int(self.stats.observations[i]), t)
-            for i in range(self.n_items)
-        ])
+    def __init__(self, n_items: int, slate_size: int, horizon: int) -> None:
+        super().__init__(n_items, slate_size, horizon)
+        self.items = _KLUCBAgent(n_items, self.capacity)
 
 
 class BernoulliTSRanker(RankerPolicy):
@@ -199,11 +189,7 @@ class BernoulliTSRanker(RankerPolicy):
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_items, slate_size, horizon)
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def _scores(self, t: int) -> np.ndarray:
-        return self.rng.beta(1.0 + self.stats.clicks,
-                             1.0 + self.stats.observations - self.stats.clicks)
+        self.items = BernoulliTSAgent(n_items, self.capacity, rng)
 
 
 class BernoulliPHERanker(RankerPolicy):
@@ -212,55 +198,20 @@ class BernoulliPHERanker(RankerPolicy):
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  a: float = 0.5, rng: np.random.Generator | None = None) -> None:
         super().__init__(n_items, slate_size, horizon)
-        if not 0.0 < a < math.inf:
-            raise ValueError(
-                f"perturbation scale a must be positive and finite, got {a}")
-        self.a = float(a)
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def _scores(self, t: int) -> np.ndarray:
-        counts = phe_pseudo_counts(self.stats.observations, self.a)
-        pseudo = self.rng.integers(0, 2, size=int(counts.sum())).astype(float)
-        owners = np.repeat(np.arange(self.n_items), counts)
-        return perturbed_mean_estimates(self.stats.clicks,
-                                        self.stats.observations + counts,
-                                        pseudo, owners)
+        self.items = BernoulliPHEAgent(n_items, self.capacity, a, rng)
 
 
 class RewardPoolRanker(RankerPolicy):
     """Rank by reward-pool perturbed attraction estimates.
 
-    All binary attraction observations across items feed one shared pool;
-    each item's estimate perturbs its own observations with draws from it,
-    exactly as the multi-armed agent treats arms.  The ranker has no
-    warm-up, so ``z`` plays no part: round 1 has no observation and ranks
-    the leading items, and pool draws start at round 2.
+    All attraction observations across items feed one shared pool, exactly
+    as the multi-armed agent's arms do.  The ranker plays no warm-up, so
+    ``z`` plays no part: round 1 has no observation and ranks the leading
+    items, and pool draws start at round 2.
     """
 
     def __init__(self, n_items: int, slate_size: int, horizon: int,
                  params: PoolParams = PoolParams(),
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_items, slate_size, horizon)
-        self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng()
-        capacity = horizon * slate_size
-        self._values = np.empty(capacity, dtype=float)
-        self._items = np.empty(capacity, dtype=np.int64)
-        self._seen = 0
-
-    def _scores(self, t: int) -> np.ndarray:
-        if self._seen == 0:
-            return np.full(self.n_items, np.inf)
-        pool = build_pool(self._values[: self._seen], self.params.alpha)
-        draws = pool.draw(self._seen, self.rng)
-        return perturbed_mean_estimates(self.stats.clicks,
-                                        self.stats.observations, draws,
-                                        self._items[: self._seen])
-
-    def _learn(self, t: int, slate, click: int | None) -> None:
-        super()._learn(t, slate, click)
-        examined = len(slate) if click is None else click + 1
-        for pos in range(examined):
-            self._values[self._seen] = 1.0 if pos == click else 0.0
-            self._items[self._seen] = slate[pos]
-            self._seen += 1
+        self.items = RewardPoolAgent(n_items, self.capacity, params, rng)

@@ -26,6 +26,8 @@ class TestInitLength:
         assert init_length(10_000, 0.6, 10) == 334
         assert init_length(100, 0.5, 200) == 200
         assert init_length(100, 0.5, 2) == 97
+        # ln 1 = 0: a one-round run's warm-up is one pull per dimension.
+        assert init_length(1, 0.6, 3) == 3
 
     def test_invalid_variance_ratio(self):
         for z in (0.0, 1.0, -0.2, 1.5):

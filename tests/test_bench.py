@@ -199,6 +199,13 @@ class TestAgentKeys:
         pytest.param("[run]\nexperiment = mab\nn = 120\ninstances = 2\n"
                      "runs = 2\nseed = -1\nout_dir = {out}",
                      "^run.seed: must be >= 0$", id="run-negative-seed"),
+        pytest.param("[run]\nexperiment = linear\nn = 120\ninstances = 1\n"
+                     "runs = 1\nseed = 1\nout_dir = {out}\n[env]\n"
+                     "family = gaussian\nK = 4\nd = 2\n[agent.ucb1]\n"
+                     "kind = linucb\n[agent.pool]\nkind = pool\n"
+                     "auto_ridge = true\nlambda = 5",
+                     "^agent.pool.lambda: not read with agent.pool.auto_ridge",
+                     id="agent-lambda-with-auto-ridge"),
     ])
     def test_bad_agent_fails_before_the_first_task(self, tmp_path, monkeypatch,
                                                    capsys, line, field):

@@ -6,7 +6,9 @@
 rewritten to drop masks and temporaries, and the four per-owner perturbed
 means (the ``_scores`` of the MAB pool agent, the pool ranker, the PHE agents
 and the PHE ranker) now call ``perturbed_mean_estimates`` instead of summing
-their noise inline.  Each reference below is the expression the code
+their noise inline.  The rankers now score through the multi-armed agents
+they wrap, so the ranker references read the item agent's state.  Each
+reference below is the expression the code
 replaced; the new code must give the same bits on every input, since the
 golden CSV hashes of ``tests/test_golden.py`` depend on it and cannot see a
 last-bit change.
@@ -148,29 +150,33 @@ def reference_phe_estimates(agent):
     return est
 
 
-def reference_pool_ranker_scores(ranker):
-    scores = np.full(ranker.n_items, np.inf)
-    observed = ranker.stats.observations > 0
-    if ranker._seen == 0 or not observed.any():
+def reference_pool_ranker_scores(items):
+    """The pool ranker's old ``_scores``, on the state of its item agent:
+    ``pulls`` are the observations, ``totals`` the clicks, and ``_rewards``
+    and ``_arms`` the ranker's former ``_values`` and ``_items``."""
+    scores = np.full(items.n_arms, np.inf)
+    observed = items.pulls > 0
+    if items._seen == 0 or not observed.any():
         return scores
-    pool = build_pool(ranker._values[: ranker._seen], ranker.params.alpha)
-    draws = pool.draw(ranker._seen, ranker.rng)
-    noise = np.bincount(ranker._items[: ranker._seen], weights=draws,
-                        minlength=ranker.n_items)
-    scores[observed] = ((ranker.stats.clicks[observed] + noise[observed])
-                        / ranker.stats.observations[observed])
+    pool = build_pool(items._rewards[: items._seen], items.params.alpha)
+    draws = pool.draw(items._seen, items.rng)
+    noise = np.bincount(items._arms[: items._seen], weights=draws,
+                        minlength=items.n_arms)
+    scores[observed] = ((items.totals[observed] + noise[observed])
+                        / items.pulls[observed])
     return scores
 
 
-def reference_phe_ranker_scores(ranker):
-    counts = np.ceil(ranker.a * ranker.stats.observations).astype(np.int64)
-    pseudo = ranker.rng.integers(0, 2, size=int(counts.sum())).astype(float)
-    owner = np.repeat(np.arange(ranker.n_items), counts)
-    pseudo_sums = np.bincount(owner, weights=pseudo, minlength=ranker.n_items)
-    denom = ranker.stats.observations + counts
-    scores = np.full(ranker.n_items, np.inf)
+def reference_phe_ranker_scores(items):
+    """The PHE ranker's old ``_scores``, on the state of its item agent."""
+    counts = np.ceil(items.a * items.pulls).astype(np.int64)
+    pseudo = items.rng.integers(0, 2, size=int(counts.sum())).astype(float)
+    owner = np.repeat(np.arange(items.n_arms), counts)
+    pseudo_sums = np.bincount(owner, weights=pseudo, minlength=items.n_arms)
+    denom = items.pulls + counts
+    scores = np.full(items.n_arms, np.inf)
     seen = denom > 0
-    scores[seen] = (ranker.stats.clicks[seen] + pseudo_sums[seen]) / denom[seen]
+    scores[seen] = (items.totals[seen] + pseudo_sums[seen]) / denom[seen]
     return scores
 
 
@@ -243,7 +249,7 @@ class TestPerOwnerCallSites:
             n_items, size, len(rounds) + 1, PoolParams(alpha=alpha),
             np.random.default_rng(seed)), rounds)
         new, old = same_draws(lambda: ranker._scores(1),
-                              reference_pool_ranker_scores, ranker)
+                              reference_pool_ranker_scores, ranker.items)
         assert np.array_equal(new, old)
 
     @settings(deadline=None, max_examples=200)
@@ -254,7 +260,7 @@ class TestPerOwnerCallSites:
             n_items, size, len(rounds) + 1, a, np.random.default_rng(seed)),
             rounds)
         new, old = same_draws(lambda: ranker._scores(1),
-                              reference_phe_ranker_scores, ranker)
+                              reference_phe_ranker_scores, ranker.items)
         assert np.array_equal(new, old)
 
 

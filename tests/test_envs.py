@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,9 +224,24 @@ class TestCascadeFiles:
         "L=2 K=2\n0\t0.5\n5\t0.4\n",
         "L=2 K=2\n0\t0.5\n1\t1.7\n",
         "L=1 K=2\n0\t0.5\n",
+        "L=2 K=1\n0\t0.5\nx\t0.5\n",
+        "L=2 K=1\n0\t0.5\n1\tabc\n",
+        "L=2 K=1 Q=9\n0\t0.5\n1\t0.4\n",
     ])
     def test_malformed_files_rejected(self, tmp_path, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_cascade_file(path)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("L=2 K=1\n0\t0.5\nx\t0.5\n", "malformed record 'x\\t0.5'"),
+        ("L=2 K=1\n0\t0.5\n1\tabc\n", "malformed record '1\\tabc'"),
+        ("L=2 K=1 Q=9\n0\t0.5\n1\t0.4\n", "malformed header 'L=2 K=1 Q=9'"),
+    ])
+    def test_malformed_input_is_named(self, tmp_path, text, problem):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_cascade_file(path)
+        assert str(info.value) == f"{path}: {problem}"

@@ -2,8 +2,9 @@
 
 Only the linear agents' ridge solves need ``scipy.linalg`` and only runs with
 ``workers > 1`` need a process pool, so importing the package loads neither;
-the LAPACK bindings arrive with the first solve.  The last test checks that
-the benchmark's tracer still finds every banditpool name it patches.  Each
+the LAPACK bindings arrive with the first solve.  The last tests check that
+the benchmark's tracer still finds every banditpool name it patches, and
+that it times the rankers as its exact counts expect.  Each
 test starts a new interpreter because this test process has long since
 imported both.
 """
@@ -105,3 +106,53 @@ def test_perfbench_tracer_installs_and_uninstalls():
         print(tracer.calls("agents.ridge_solve"))
     """)
     assert int(out) == 9
+
+
+def test_perfbench_tracer_times_rankers():
+    """Traced ranking episodes give the counts ``perfbench/harness.py``
+    expects: one ``ranking.select`` span per round, one pool build per round
+    after the first (through ``agents.build_pool``, under the ranker's span),
+    one KL-UCB index per item and round, and no ``agents.*`` span or warm-up,
+    since a ranker holds its item agent rather than being one."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    out = run_fresh(f"""
+        import json, sys
+        sys.path.insert(0, {str(perfbench)!r})
+        import numpy as np
+        import tracing
+        from banditpool import bench
+
+        n = 25
+        config = bench.RunConfig(
+            experiment="ranking", env={{"L": 6, "K": 3}}, horizon=n,
+            instances=1, runs=1, seed=3, out_dir="unused",
+            agents=(bench.AgentSpec("pool", "pool", {{}}),
+                    bench.AgentSpec("klucb", "klucb", {{}})))
+        env = bench.make_env(config, 0)
+        with tracing.Tracer() as tracer:
+            kinds = []
+            for spec in config.agents:
+                agent = bench.make_agent(spec, config, env,
+                                         np.random.default_rng(1))
+                kinds.append(type(agent).__name__)
+                bench._simulate(env, agent, n, np.random.default_rng(2))
+        print(json.dumps({{
+            "kinds": kinds,
+            "select": tracer.calls("ranking.select"),
+            "update": tracer.calls("ranking.update"),
+            "builds": tracer.calls("pool.build", parent="ranking.select"),
+            "all_builds": tracer.calls("pool.build"),
+            "draws": tracer.calls("pool.draw"),
+            "indices": tracer.calls("ranking.klucb_index", parent="ranking.select"),
+            "agents_spans": (tracer.calls("agents.select")
+                             + tracer.calls("agents.update")),
+            "warmup": tracer.counts["agents.warmup_rounds"],
+        }}))
+    """)
+    n, items = 25, 6
+    assert json.loads(out) == {
+        "kinds": ["RewardPoolRanker", "KLUCBRanker"],
+        "select": 2 * n, "update": 2 * n,
+        "builds": n - 1, "all_builds": n - 1, "draws": n - 1,
+        "indices": n * items, "agents_spans": 0, "warmup": 0,
+    }

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import default_rng
 
-from banditpool.agents import PoolParams
+from banditpool.agents import PoolParams, RewardPoolAgent
+from banditpool.baselines import BernoulliPHEAgent, BernoulliTSAgent
 from banditpool.envs import CascadeInstance
 from banditpool.pool import build_pool
 from banditpool.ranking import (
     BernoulliPHERanker,
     BernoulliTSRanker,
-    ItemStats,
     KLUCBRanker,
     RewardPoolRanker,
-    cascade_update,
+    _KLUCBAgent,
     exploration_budget,
     kl_bernoulli,
     klucb_index,
@@ -160,39 +161,65 @@ class TestRankTopK:
             assert [scores[i] for i in got] == sorted(scores, reverse=True)[:4]
 
 
+def fed_back(ranker, t, slate, click):
+    """``ranker`` after cascade feedback ``click`` on ``slate`` in round ``t``,
+    as if it had selected that slate."""
+    ranker._pending = (t, tuple(slate))
+    ranker.update(t, slate, click)
+    return ranker
+
+
+# Each ranker kind with the bare item agent it wraps, as factories: the
+# ranker's of (items, slate size, horizon, seed), the agent's of (items,
+# capacity, seed), where the capacity is one observation per shown position.
+KINDS = {
+    "klucb": (lambda n, k, h, s: KLUCBRanker(n, k, h),
+              lambda n, c, s: _KLUCBAgent(n, c)),
+    "bern_ts": (lambda n, k, h, s: BernoulliTSRanker(n, k, h, default_rng(s)),
+                lambda n, c, s: BernoulliTSAgent(n, c, default_rng(s))),
+    "bern_phe": (lambda n, k, h, s: BernoulliPHERanker(n, k, h, 0.5, default_rng(s)),
+                 lambda n, c, s: BernoulliPHEAgent(n, c, 0.5, default_rng(s))),
+    "pool": (lambda n, k, h, s: RewardPoolRanker(n, k, h, PoolParams(), default_rng(s)),
+             lambda n, c, s: RewardPoolAgent(n, c, PoolParams(), default_rng(s))),
+}
+
+
 class TestCascadeUpdate:
+    """Cascade feedback reaches the item agent as one 0/1 reward per examined
+    position: its pulls count observations and its totals count clicks."""
+
     def test_click_at_first_position(self):
-        stats = ItemStats.empty(5)
-        cascade_update(stats, [3, 1, 4], 0)
-        assert stats.observations.tolist() == [0, 0, 0, 1, 0]
-        assert stats.clicks.tolist() == [0, 0, 0, 1, 0]
+        items = fed_back(KLUCBRanker(5, 3, 10), 1, [3, 1, 4], 0).items
+        assert items.pulls.tolist() == [0, 0, 0, 1, 0]
+        assert items.totals.tolist() == [0, 0, 0, 1, 0]
 
     def test_no_click_observes_everything(self):
-        stats = ItemStats.empty(5)
-        cascade_update(stats, [3, 1, 4], None)
-        assert stats.observations.tolist() == [0, 1, 0, 1, 1]
-        assert stats.clicks.sum() == 0
+        items = fed_back(KLUCBRanker(5, 3, 10), 1, [3, 1, 4], None).items
+        assert items.pulls.tolist() == [0, 1, 0, 1, 1]
+        assert items.totals.sum() == 0
 
     def test_click_mid_list(self):
-        stats = ItemStats.empty(5)
-        cascade_update(stats, [3, 1, 4, 0], 2)
-        assert stats.observations.tolist() == [0, 1, 0, 1, 1]
-        assert stats.clicks.tolist() == [0, 0, 0, 0, 1]
+        items = fed_back(KLUCBRanker(5, 4, 10), 1, [3, 1, 4, 0], 2).items
+        assert items.pulls.tolist() == [0, 1, 0, 1, 1]
+        assert items.totals.tolist() == [0, 0, 0, 0, 1]
 
     def test_inconsistent_click_position(self):
-        stats = ItemStats.empty(3)
+        ranker = KLUCBRanker(3, 2, 10)
         with pytest.raises(ValueError):
-            cascade_update(stats, [0, 1], 2)
+            fed_back(ranker, 1, [0, 1], 2)
+        assert ranker.items.pulls.sum() == 0
 
     @settings(deadline=None)
     @given(st.data())
     def test_accounting_invariants(self, data):
         """Each round observes exactly the examined prefix of the slate, adds
         one click only when there is one, and never lets clicks pass
-        observations."""
+        observations, whichever agent the ranker wraps."""
         n_items = data.draw(st.integers(1, 12))
-        stats = ItemStats.empty(n_items)
-        for _ in range(data.draw(st.integers(1, 30))):
+        make_ranker, _ = KINDS[data.draw(st.sampled_from(sorted(KINDS)))]
+        ranker = make_ranker(n_items, n_items, 30, 0)
+        items = ranker.items
+        for t in range(1, data.draw(st.integers(1, 30)) + 1):
             order = data.draw(st.permutations(range(n_items)))
             ranked = order[: data.draw(st.integers(1, n_items))]
             click_pos = data.draw(st.none() | st.integers(0, len(ranked) - 1))
@@ -202,11 +229,35 @@ class TestCascadeUpdate:
             new_clicks = np.zeros(n_items, dtype=np.int64)
             if click_pos is not None:
                 new_clicks[ranked[click_pos]] = 1
-            before = (stats.observations.copy(), stats.clicks.copy())
-            cascade_update(stats, ranked, click_pos)
-            assert np.array_equal(stats.observations - before[0], new_obs)
-            assert np.array_equal(stats.clicks - before[1], new_clicks)
-            assert np.all(stats.clicks <= stats.observations)
+            before = (items.pulls.copy(), items.totals.copy())
+            fed_back(ranker, t, ranked, click_pos)
+            assert np.array_equal(items.pulls - before[0], new_obs)
+            assert np.array_equal(items.totals - before[1], new_clicks)
+            assert np.all(items.totals <= items.pulls)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_ranker_scores_match_a_bare_item_agent(self, data):
+        """A ranker fed cascade rounds scores bit for bit as the agent it
+        wraps, fed the examined (item, 0/1) observations directly, from the
+        same generator state."""
+        kind = data.draw(st.sampled_from(sorted(KINDS)))
+        make_ranker, make_agent = KINDS[kind]
+        n_items = data.draw(st.integers(1, 8))
+        size = data.draw(st.integers(1, n_items))
+        horizon = data.draw(st.integers(2, 30))
+        seed = data.draw(st.integers(0, 2**32))
+        ranker = make_ranker(n_items, size, horizon, seed)
+        agent = make_agent(n_items, horizon * size, seed)
+        for t in range(1, horizon):
+            slate = list(data.draw(st.permutations(range(n_items)))[:size])
+            click = data.draw(st.none() | st.integers(0, size - 1))
+            fed_back(ranker, t, slate, click)
+            for pos in range(size if click is None else click + 1):
+                agent._learn(t, slate[pos], float(pos == click))
+        if hasattr(agent, "rng"):
+            agent.rng.bit_generator.state = ranker.items.rng.bit_generator.state
+        assert ranker._scores(horizon).tobytes() == agent._scores(horizon).tobytes()
 
 
 def cascade_loss(instance, slate):
@@ -255,20 +306,20 @@ class TestRankers:
     def test_valid_slates_and_bookkeeping(self, factory):
         ranker = factory()
         drive(ranker, self.instance, 400, np.random.default_rng(7))
-        assert np.all(ranker.stats.clicks <= ranker.stats.observations)
-        assert ranker.stats.observations.sum() >= 400
+        assert np.all(ranker.items.totals <= ranker.items.pulls)
+        assert ranker.items.pulls.sum() >= 400
 
     def test_pool_ranker_shares_one_pool_across_items(self):
         ranker = RewardPoolRanker(4, 2, 50, PoolParams(alpha=0.6),
                                   np.random.default_rng(8))
         feedback = [([0, 1], None), ([2, 3], 0), ([0, 2], 1)]
         for t, (slate, click) in enumerate(feedback, start=1):
-            ranker._pending = (t, tuple(slate))
-            ranker.update(t, slate, click)
+            fed_back(ranker, t, slate, click)
         # Observed values in order: 0,0 then 1 (click at pos 0) then 0,1.
         expected = build_pool([0.0, 0.0, 1.0, 0.0, 1.0], alpha=0.6)
-        got = build_pool(ranker._values[: ranker._seen], alpha=0.6)
+        got = ranker.items.current_pool()
         np.testing.assert_array_equal(got.values, expected.values)
+        assert ranker.items._arms[: ranker.items._seen].tolist() == [0, 1, 2, 0, 2]
 
     def test_pool_ranker_first_slate_is_leading_items(self):
         ranker = RewardPoolRanker(6, 3, 10, PoolParams(), np.random.default_rng(9))
@@ -292,7 +343,7 @@ class TestRankers:
         with pytest.raises(RuntimeError):
             ranker.update(1, slate, None)
 
-    @pytest.mark.parametrize("click", [-1, 2, 7, 0.5])
+    @pytest.mark.parametrize("click", [-1, 2, 7, 0.5, True])
     def test_bad_click_leaves_the_round_pending(self, click):
         ranker = KLUCBRanker(5, 2, 10)
         slate = ranker.select_list(1)
@@ -300,7 +351,8 @@ class TestRankers:
             ranker.update(1, slate, click)
         assert ranker._pending == (1, tuple(slate))
         ranker.update(1, slate, None)
-        assert ranker.stats.observations.sum() == 2
+        assert ranker.items.pulls.sum() == 2
+        assert ranker.items.totals.sum() == 0
 
     def test_unobserved_items_rank_first(self):
         ranker = BernoulliPHERanker(5, 2, 20, 0.5, np.random.default_rng(10))
@@ -308,3 +360,14 @@ class TestRankers:
         ranker.update(1, slate, 0)
         follow_up = ranker.select_list(2)
         assert follow_up[0] not in set(slate[:1])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_single_observation_ranker_runs(self, kind):
+        """One item, a slate of one and one round: the item agent's capacity
+        is one observation, and the ranker still plays its round."""
+        ranker = KINDS[kind][0](1, 1, 1, 12)
+        slate = ranker.select(1)
+        assert slate == [0]
+        ranker.update(1, slate, 0)
+        assert ranker.items.pulls.tolist() == [1]
+        assert ranker.items.totals.tolist() == [1.0]
