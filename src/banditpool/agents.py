@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import RewardPool, build_pool
+from .pool import RewardPool, build_pool, variance_floor_threshold
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,9 @@ class PoolParams:
 def init_length(horizon: int, z: float, dims: int) -> int:
     """Number of leading round-robin rounds before pool-based selection.
 
-    Returns ``max(dims, ceil(4 * ln(horizon) / (z - 1 - ln z) + 1))``.  The
-    denominator is positive for every ``z`` in (0, 1), and the second term is
-    sized so the empirical reward variance after warm-up stays above a ``z/2``
-    fraction of the true variance with high probability.
+    Returns ``max(dims, ceil(variance_floor_threshold(horizon, z)))``: long
+    enough that the empirical reward variance after warm-up stays above a
+    ``z/2`` fraction of the true variance with high probability.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -67,26 +66,26 @@ def init_length(horizon: int, z: float, dims: int) -> int:
         raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    denom = z - 1.0 - math.log(z)
-    return max(dims, math.ceil(4.0 * math.log(horizon) / denom + 1.0))
+    return max(dims, math.ceil(variance_floor_threshold(horizon, z)))
 
 
-def perturbed_mean_estimates(totals, counts, noise, owners=None) -> np.ndarray:
-    """Per-owner estimates ``(V_i + U_i) / s_i`` with unseen owners forced up.
+def arm_sums(arms, values, n_arms: int) -> np.ndarray:
+    """Per-arm sums ``U_i`` of the ``values[l]`` with ``arms[l] == i``."""
+    return np.bincount(arms, weights=values, minlength=n_arms)
 
-    ``totals`` are each owner's summed observations and ``counts`` the sizes
-    ``s_i`` of the estimates.  ``U_i`` sums the entries of ``noise`` whose
-    ``owners`` entry is ``i``; without ``owners``, ``noise`` already holds
-    those per-owner sums.  An owner with a zero count gets ``+inf`` so a
-    greedy argmax selects it first (lowest index wins).  Once every count is
+
+def perturbed_mean_estimates(totals, counts, sums) -> np.ndarray:
+    """Per-arm estimates ``(V_i + U_i) / s_i`` with unseen arms forced up.
+
+    ``totals`` are each arm's summed observations ``V_i``, ``counts`` the
+    sizes ``s_i`` of the estimates and ``sums`` the noise sums ``U_i`` (see
+    :func:`arm_sums`).  An arm with a zero count gets ``+inf`` so a greedy
+    argmax selects it first (lowest index wins).  Once every count is
     positive, as after the pool agent's warm-up, no mask is built.
     """
     totals = np.asarray(totals, dtype=float)
     counts = np.asarray(counts)
-    if owners is None:
-        sums = np.asarray(noise, dtype=float)
-    else:
-        sums = np.bincount(owners, weights=noise, minlength=totals.size)
+    sums = np.asarray(sums, dtype=float)
     if counts.all():
         return (totals + sums) / counts
     est = np.full(totals.shape, np.inf)
@@ -235,24 +234,38 @@ class _ArmStatsAgent(Agent):
         self.totals[arm] += reward
 
 
-class RewardPoolAgent(_ArmStatsAgent):
-    """Multi-armed bandit agent exploring via its own reward pool.
+class _History:
+    """An agent's observations as (arm index, reward) pairs, in order; a
+    mixin listed ahead of the ``Agent`` base it extends."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._arms = np.empty(self.horizon, dtype=np.int64)
+        self._rewards = np.empty(self.horizon, dtype=float)
+        self._seen = 0
+
+    def _learn(self, t: int, arm: int, reward: float) -> None:
+        super()._learn(t, arm, reward)
+        self._arms[self._seen] = arm
+        self._rewards[self._seen] = reward
+        self._seen += 1
+
+
+class _PoolExploration(_History):
+    """The body the multi-armed and linear pool agents share.
 
     After the warm-up, each round rebuilds the pool from all past rewards,
-    draws one fresh pool value per past observation, sums the draws per arm,
-    and plays the argmax of ``(V_i + U_i) / s_i``.
+    draws one fresh pool value per past observation and sums the draws per
+    arm into ``U``; the agent plays the argmax of ``_estimate(U)``.  Neither
+    pool agent subclasses the other: perfbench's tracer wraps ``select`` and
+    ``update`` of both, and inheritance would nest those spans.
     """
 
-    def __init__(self, n_arms: int, horizon: int,
-                 params: PoolParams = PoolParams(),
-                 rng: np.random.Generator | None = None) -> None:
-        super().__init__(n_arms, horizon)
+    def _start_pool(self, params: PoolParams, rng: np.random.Generator | None,
+                    dims: int) -> None:
         self.params = params
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.init_rounds = init_length(horizon, params.z, n_arms)
-        self._rewards = np.empty(horizon, dtype=float)
-        self._arms = np.empty(horizon, dtype=np.int64)
-        self._seen = 0
+        self.init_rounds = init_length(self.horizon, params.z, dims)
 
     def current_pool(self) -> RewardPool:
         if self._seen == 0:
@@ -268,85 +281,52 @@ class RewardPoolAgent(_ArmStatsAgent):
         if self._seen == 0:
             return np.full(self.n_arms, np.inf)
         draws = self.current_pool().draw(self._seen, self.rng)
-        return perturbed_mean_estimates(self.totals, self.pulls, draws,
-                                        self._arms[: self._seen])
+        return self._estimate(arm_sums(self._arms[: self._seen], draws,
+                                       self.n_arms))
 
-    def _learn(self, t: int, arm: int, reward: float) -> None:
-        super()._learn(t, arm, reward)
-        self._rewards[self._seen] = reward
-        self._arms[self._seen] = arm
-        self._seen += 1
+
+class RewardPoolAgent(_PoolExploration, _ArmStatsAgent):
+    """Multi-armed bandit agent exploring via its own reward pool: it plays
+    the argmax of ``(V_i + U_i) / s_i``."""
+
+    def __init__(self, n_arms: int, horizon: int,
+                 params: PoolParams = PoolParams(),
+                 rng: np.random.Generator | None = None) -> None:
+        super().__init__(n_arms, horizon)
+        self._start_pool(params, rng, n_arms)
+
+    def _estimate(self, sums: np.ndarray) -> np.ndarray:
+        return perturbed_mean_estimates(self.totals, self.pulls, sums)
 
 
 class LinearModelState:
-    """The (feature, reward) history of a linear agent and its ridge fit.
+    """A linear agent's ridge statistics ``gram = sum x x^T`` and ``xy_sum =
+    sum x y``, kept by rank-one updates; ``regularize`` adds ``lambda * I``
+    to ``gram`` once, before the first fit.  No observation is stored."""
 
-    ``add`` stores one observation.  Once ``start`` has fixed the ridge
-    regularizer, the regularized Gram matrix ``lambda * I + sum x x^T`` and the
-    reward-weighted feature sum ``sum x y`` are kept up to date as well; the
-    history stays, so per-round re-perturbation can touch every observation.
-    """
-
-    def __init__(self, dim: int, capacity: int) -> None:
+    def __init__(self, dim: int) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._x = np.empty((capacity, dim), dtype=float)
-        self._y = np.empty(capacity, dtype=float)
-        self.count = 0
         self.ridge_lambda: float | None = None
-        self.gram: np.ndarray | None = None
-        self.xy_sum: np.ndarray | None = None
+        self.gram = np.zeros((dim, dim))
+        self.xy_sum = np.zeros(dim)
 
-    @property
-    def xs(self) -> np.ndarray:
-        return self._x[: self.count]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self._y[: self.count]
-
-    def start(self, ridge_lambda: float) -> None:
-        """Form the fit's statistics from the observations stored so far."""
+    def regularize(self, ridge_lambda: float) -> None:
         if not 0.0 <= ridge_lambda < math.inf:
             raise ValueError(
                 f"ridge_lambda must be >= 0 and finite, got {ridge_lambda}")
-        xs = self.xs
         self.ridge_lambda = float(ridge_lambda)
-        self.gram = ridge_lambda * np.eye(self.dim)
-        self.gram += xs.T @ xs
-        self.xy_sum = np.zeros(self.dim)
-        self.xy_sum += xs.T @ self.ys
+        self.gram += ridge_lambda * np.eye(self.dim)
 
     def add(self, x: np.ndarray, y: float) -> None:
-        if self.count == self._x.shape[0]:
-            raise RuntimeError("linear model history capacity exceeded")
-        self._x[self.count] = x
-        self._y[self.count] = y
-        self.count += 1
-        if self.gram is not None:
-            self.gram += np.outer(x, x)
-            self.xy_sum += y * x
-
-    def mean_fit(self) -> np.ndarray:
-        """Unperturbed ridge estimate ``G^{-1} sum x y``."""
-        return ridge_solve(self.gram, self.xy_sum)
-
-    def perturbed_fit(self, noise: np.ndarray) -> np.ndarray:
-        """Ridge fit with past reward ``y_l`` shifted by ``noise[l]``.
-
-        Solves ``G theta = sum x_l (y_l + noise_l)``, the linear counterpart
-        of :func:`perturbed_mean_estimates`.
-        """
-        return ridge_solve(self.gram, self.xy_sum + self.xs.T @ noise)
+        self.gram += np.outer(x, x)
+        self.xy_sum += y * x
 
 
 class _LinearAgent(Agent):
-    """A ridge fit over a fixed, finite arm-feature matrix.
-
-    Each round's observation joins ``state``; subclasses call
-    ``state.start`` to fix the regularizer before their first fit.
-    """
+    """A ridge fit over a fixed, finite arm-feature matrix: each observation
+    joins ``state``, which subclasses regularize before their first fit."""
 
     def __init__(self, features: np.ndarray, horizon: int) -> None:
         features = np.asarray(features, dtype=float)
@@ -357,32 +337,35 @@ class _LinearAgent(Agent):
         super().__init__(features.shape[0], horizon)
         self.features = features
         self.dim = features.shape[1]
-        self.state = LinearModelState(self.dim, capacity=horizon)
+        self.state = LinearModelState(self.dim)
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         self.state.add(self.features[arm], reward)
 
+    def _perturbed_fit(self, sums: np.ndarray) -> np.ndarray:
+        """Solve ``G theta = sum x y + features^T U``: the ridge fit with each
+        past reward shifted by its own noise value, ``U`` summing them per arm."""
+        return ridge_solve(self.state.gram,
+                           self.state.xy_sum + self.features.T @ sums)
 
-class LinRewardPoolAgent(_LinearAgent):
+
+class LinRewardPoolAgent(_PoolExploration, _LinearAgent):
     """Linear bandit agent: pool-perturbed ridge regression, greedy argmax.
 
-    The ridge fit starts at the first round after the warm-up, so that
-    ``auto_ridge`` can read the warm-up Gram matrix.
+    The ridge term joins the Gram matrix at the first round after the
+    warm-up, so that ``auto_ridge`` can read the warm-up Gram matrix.
     """
 
     def __init__(self, features: np.ndarray, horizon: int,
                  params: PoolParams = PoolParams(),
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon)
-        self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.init_rounds = init_length(horizon, params.z, self.dim)
+        self._start_pool(params, rng, self.dim)
 
     def _ridge_value(self) -> float:
         if not self.params.auto_ridge:
             return self.params.ridge_lambda
-        xs = self.state.xs
-        smallest = float(np.linalg.eigvalsh(xs.T @ xs)[0])
+        smallest = float(np.linalg.eigvalsh(self.state.gram)[0])
         if smallest <= 0:
             raise RuntimeError(
                 "warm-up features are rank deficient; auto_ridge needs a "
@@ -390,14 +373,8 @@ class LinRewardPoolAgent(_LinearAgent):
         # Fixed point of lam = min_eig(G0 + lam I) / 4 for the regularized gram.
         return smallest / 3.0
 
-    def current_pool(self) -> RewardPool:
-        if self.state.count == 0:
-            raise RuntimeError("no rewards observed yet")
-        return build_pool(self.state.ys, self.params.alpha)
-
-    def _scores(self, t: int) -> np.ndarray:
-        """``x_i . theta`` for one fresh pool-perturbed parameter estimate."""
-        if self.state.gram is None:
-            self.state.start(self._ridge_value())
-        draws = self.current_pool().draw(self.state.count, self.rng)
-        return self.features @ self.state.perturbed_fit(draws)
+    def _estimate(self, sums: np.ndarray) -> np.ndarray:
+        """``x_i . theta`` for the pool-perturbed parameter estimate."""
+        if self.state.ridge_lambda is None:
+            self.state.regularize(self._ridge_value())
+        return self.features @ self._perturbed_fit(sums)

@@ -16,7 +16,10 @@ from .agents import (
     _ArmStatsAgent,
     _cholesky_factor,
     _cholesky_solve,
+    _History,
+    _lapack,
     _LinearAgent,
+    arm_sums,
     perturbed_mean_estimates,
 )
 
@@ -196,7 +199,7 @@ class _PHEAgent(_ArmStatsAgent):
         pseudo = self._draw_pseudo(int(counts.sum()))
         owners = np.repeat(np.arange(self.n_arms), counts)
         return perturbed_mean_estimates(self.totals, self.pulls + counts,
-                                        pseudo, owners)
+                                        arm_sums(owners, pseudo, self.n_arms))
 
 
 class BernoulliPHEAgent(_PHEAgent):
@@ -233,10 +236,13 @@ def linucb_scores(state: LinearModelState, features: np.ndarray,
 
 def lints_sample(state: LinearModelState, sigma_ts: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Draw ``theta ~ N(theta_hat, sigma_ts^2 G^{-1})``."""
-    theta_hat = state.mean_fit()
-    chol = np.linalg.cholesky(state.gram)
-    noise = np.linalg.solve(chol.T, rng.standard_normal(state.dim))
+    """Draw ``theta ~ N(theta_hat, sigma_ts^2 G^{-1})`` from one factor
+    ``G = L L^T``: for a standard normal ``xi``, ``L^T v = xi`` gives
+    ``v ~ N(0, G^{-1})`` (Agrawal & Goyal, ICML 2013)."""
+    factor = _cholesky_factor(state.gram)
+    theta_hat = _cholesky_solve(factor, state.xy_sum)
+    noise, _ = _lapack().dtrtrs(factor, rng.standard_normal(state.dim),
+                                lower=1, trans=1)
     return theta_hat + sigma_ts * noise
 
 
@@ -244,7 +250,7 @@ class LinUCBAgent(_LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, width: float = 1.0,
                  ridge_lambda: float = 1.0) -> None:
         super().__init__(features, horizon)
-        self.state.start(_positive_ridge(ridge_lambda))
+        self.state.regularize(_positive_ridge(ridge_lambda))
         if not 0.0 <= width < math.inf:
             raise ValueError(f"width must be >= 0 and finite, got {width}")
         self.width = float(width)
@@ -258,7 +264,7 @@ class LinTSAgent(_LinearAgent):
                  ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon)
-        self.state.start(_positive_ridge(ridge_lambda))
+        self.state.regularize(_positive_ridge(ridge_lambda))
         if not 0.0 <= sigma_ts < math.inf:
             raise ValueError(f"sigma_ts must be >= 0 and finite, got {sigma_ts}")
         self.sigma_ts = float(sigma_ts)
@@ -268,7 +274,7 @@ class LinTSAgent(_LinearAgent):
         return self.features @ lints_sample(self.state, self.sigma_ts, self.rng)
 
 
-class LinPHEAgent(_LinearAgent):
+class LinPHEAgent(_History, _LinearAgent):
     """Linear perturbed history: every fit shifts each past reward by fresh
     pseudo-reward noise, centred coins ``a * (B - 1/2)`` for ``bernoulli`` and
     ``N(0, a^2)`` for ``gaussian``."""
@@ -277,7 +283,7 @@ class LinPHEAgent(_LinearAgent):
                  pseudo_family: str = "bernoulli", ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon)
-        self.state.start(_positive_ridge(ridge_lambda))
+        self.state.regularize(_positive_ridge(ridge_lambda))
         if not 0.0 < a < math.inf:
             raise ValueError(
                 f"perturbation scale a must be positive and finite, got {a}")
@@ -289,14 +295,14 @@ class LinPHEAgent(_LinearAgent):
 
     def _forced(self, t: int) -> int | None:
         """Round-robin while the history is empty: a fit needs an observation."""
-        if self.state.count == 0:
+        if self._seen == 0:
             return (t - 1) % self.n_arms
         return None
 
     def _scores(self, t: int) -> np.ndarray:
-        count = self.state.count
         if self.pseudo_family == "bernoulli":
-            noise = self.a * (self.rng.integers(0, 2, size=count) - 0.5)
+            noise = self.a * (self.rng.integers(0, 2, size=self._seen) - 0.5)
         else:
-            noise = self.rng.normal(0.0, self.a, size=count)
-        return self.features @ self.state.perturbed_fit(noise)
+            noise = self.rng.normal(0.0, self.a, size=self._seen)
+        sums = arm_sums(self._arms[: self._seen], noise, self.n_arms)
+        return self.features @ self._perturbed_fit(sums)

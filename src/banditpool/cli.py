@@ -56,6 +56,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # The pool checks take ln(horizon) and divide by trials.
+    for flag, value, least in (("horizon", args.horizon, 1),
+                               ("trials", args.trials, 1),
+                               ("mc-trials", args.mc_trials, theory.MIN_MC_TRIALS)):
+        if value < least:
+            raise bench.ConfigError(
+                f"--{flag}: must be at least {least}, got {value}")
     reports = theory.default_checks(seed=args.seed, horizon=args.horizon,
                                     pool_trials=args.trials,
                                     mc_trials=args.mc_trials)

@@ -62,9 +62,9 @@ def build_pool(rewards, alpha: float) -> RewardPool:
     they share a large common offset the centred values carry that rounding
     error.  For rewards ``3e11 + (0, 0, 1/64)`` the pool variance is off by
     7.6e-6 relative to the exact value.  Centring on a shifted mean would fix
-    it but changes the pool's bits, and so every seeded output that draws
-    from a pool; it is left for a change allowed to move the golden hashes
-    of ``tests/test_golden.py``.
+    it but changes the pool's bits, and so every pool agent's stream.  It
+    waits for the few-atom draw of binary reward histories, which re-records
+    the MAB and ranking pool streams anyway.
     """
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1:
@@ -82,3 +82,10 @@ def build_pool(rewards, alpha: float) -> RewardPool:
     np.multiply(alpha, centered, out=centered)
     np.negative(centered, out=values[1::2])
     return RewardPool(values=values)
+
+
+def variance_floor_threshold(horizon: int, z: float) -> float:
+    """Warm-up length ``4 ln(horizon) / (z - 1 - ln z) + 1`` after which the
+    pool variance stays above ``alpha^2 z sigma^2 / 2`` with high probability
+    (the denominator is positive for every ``z`` in (0, 1))."""
+    return 4.0 * math.log(horizon) / (z - 1.0 - math.log(z)) + 1.0

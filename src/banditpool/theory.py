@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pool import build_pool
+from .pool import build_pool, variance_floor_threshold
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,11 @@ class CheckReport:
     passed: bool
 
 
+MIN_MC_TRIALS = 10_000  # the fewest draws check_shifted_ball accepts
+
+
 def _binomial_slack(rate: float, trials: int) -> float:
     return 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
-
-
-def variance_floor_threshold(horizon: int, z: float) -> float:
-    """Warm-up length after which the pool variance floor is claimed."""
-    return 4.0 * math.log(horizon) / (z - 1.0 - math.log(z)) + 1.0
 
 
 def _prefix_pool_variances(rewards: np.ndarray,
@@ -172,8 +170,8 @@ def check_shifted_ball(transform, shift, radius: float, trials: int = 100_000,
     same draws and passes when the centered mass is not smaller than the
     shifted mass beyond three combined standard errors.
     """
-    if trials < 10_000:
-        raise ValueError(f"need at least 10000 trials, got {trials}")
+    if trials < MIN_MC_TRIALS:
+        raise ValueError(f"need at least {MIN_MC_TRIALS} trials, got {trials}")
     rng = rng if rng is not None else np.random.default_rng()
     transform = np.atleast_2d(np.asarray(transform, dtype=float))
     shift = np.atleast_1d(np.asarray(shift, dtype=float))

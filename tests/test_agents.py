@@ -13,12 +13,12 @@ from banditpool.agents import (
     LinRewardPoolAgent,
     PoolParams,
     RewardPoolAgent,
+    arm_sums,
     init_length,
     perturbed_mean_estimates,
     ridge_solve,
 )
 from banditpool.envs import MabInstance
-from banditpool.pool import build_pool
 
 
 class TestInitLength:
@@ -293,52 +293,74 @@ class TestBestArm:
             assert best_arm(features, theta) == int(np.argmax(scores))
 
 
+def observe(agent, arms, rewards, start=1):
+    """Feed ``(arm, reward)`` observations, from round ``start``, through the
+    round protocol."""
+    for t, (arm, reward) in enumerate(zip(arms, rewards), start=start):
+        agent._pending = (t, int(arm))
+        agent.update(t, int(arm), float(reward))
+
+
+def gram_from_arms(features, arms, ridge_lambda):
+    """``lambda I + sum x x^T`` over the feature rows ``features[arms]``."""
+    pulls = np.bincount(arms, minlength=len(features))
+    return (ridge_lambda * np.eye(features.shape[1])
+            + features.T @ (pulls[:, None] * features))
+
+
 class TestLinearModelState:
     def test_gram_recomputable_from_history(self):
         rng = np.random.default_rng(15)
-        state = LinearModelState(3, capacity=50)
-        state.start(1.0)
-        for _ in range(50):
-            state.add(rng.normal(size=3), float(rng.normal()))
-        recomputed = np.eye(3) + state.xs.T @ state.xs
-        np.testing.assert_allclose(state.gram, recomputed, rtol=1e-8)
-        np.testing.assert_allclose(state.xy_sum, state.xs.T @ state.ys, rtol=1e-8)
+        features = rng.normal(size=(7, 3))
+        arms = rng.integers(0, 7, size=50)
+        rewards = rng.normal(size=50)
+        state = LinearModelState(3)
+        state.regularize(1.0)
+        for arm, reward in zip(arms, rewards):
+            state.add(features[arm], reward)
+        np.testing.assert_allclose(state.gram, gram_from_arms(features, arms, 1.0),
+                                   rtol=1e-8)
+        np.testing.assert_allclose(state.xy_sum,
+                                   features.T @ arm_sums(arms, rewards, 7),
+                                   rtol=1e-8)
 
     def test_gram_stays_positive_definite(self):
         rng = np.random.default_rng(16)
-        state = LinearModelState(4, capacity=100)
-        state.start(0.5)
-        for _ in range(100):
-            state.add(rng.normal(size=4), float(rng.normal()))
+        features = rng.normal(size=(9, 4))
+        state = LinearModelState(4)
+        state.regularize(0.5)
+        for arm in rng.integers(0, 9, size=100):
+            state.add(features[arm], float(rng.normal()))
             assert np.linalg.eigvalsh(state.gram)[0] >= 0.5 - 1e-9
 
     def test_zero_perturbation_recovers_mean_fit(self):
+        """Equal rewards make an all-zero pool: the perturbed fit is the mean fit."""
         rng = np.random.default_rng(17)
-        state = LinearModelState(2, capacity=10)
-        state.start(1.0)
-        for _ in range(10):
-            state.add(rng.normal(size=2), float(rng.normal()))
-        zero_pool = build_pool([0.4] * 10, alpha=1.0)
-        draws = zero_pool.draw(state.count, np.random.default_rng(0))
-        np.testing.assert_allclose(state.perturbed_fit(draws), state.mean_fit())
+        features = rng.normal(size=(4, 2))
+        agent = LinRewardPoolAgent(features, 11, PoolParams(),
+                                   np.random.default_rng(0))
+        observe(agent, rng.integers(0, 4, size=10), [0.4] * 10)
+        scores = agent._scores(11)
+        mean_fit = ridge_solve(agent.state.gram, agent.state.xy_sum)
+        np.testing.assert_allclose(scores, features @ mean_fit)
 
     def test_one_hot_reduction_of_the_fit(self):
         """Diagonal gram with one-hot features gives per-arm perturbed means."""
-        xs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        arms = [0, 1, 0]
         ys = np.array([1.0, 0.5, 0.0])
         noise = np.array([0.2, -0.1, 0.3])
-        state = LinearModelState(2, capacity=3)
-        for x, y in zip(xs, ys):
-            state.add(x, y)
-        state.start(0.0)
-        theta = state.perturbed_fit(noise)
+        agent = LinRewardPoolAgent(np.eye(2), 3, PoolParams(ridge_lambda=0.0))
+        observe(agent, arms, ys)
+        agent.state.regularize(0.0)
+        theta = agent._perturbed_fit(arm_sums(arms, noise, 2))
         np.testing.assert_allclose(
             theta, [(1.0 + 0.0 + 0.2 + 0.3) / 2, (0.5 - 0.1) / 1])
 
 
-def run_linear(agent, features, theta_star, horizon, env_rng, sigma=0.5):
+def run_linear(agent, features, theta_star, horizon, env_rng, sigma=0.5,
+               start=1):
     actions = []
-    for t in range(1, horizon + 1):
+    for t in range(start, horizon + 1):
         arm = agent.select(t)
         reward = float(features[arm] @ theta_star) + sigma * env_rng.standard_normal()
         agent.update(t, arm, reward)
@@ -360,12 +382,21 @@ class TestLinRewardPoolAgent:
         features = np.random.default_rng(19).normal(size=(4, 2))
         agent = LinRewardPoolAgent(features, 250, PoolParams(),
                                    np.random.default_rng(2))
-        run_linear(agent, features, np.array([0.3, 0.1]), 250,
-                   np.random.default_rng(3))
-        state = agent.state
-        recomputed = np.eye(2) + state.xs.T @ state.xs
-        np.testing.assert_allclose(state.gram, recomputed, rtol=1e-8)
-        assert state.count == 250
+        env_rng = np.random.default_rng(3)
+        theta = np.array([0.3, 0.1])
+        run_linear(agent, features, theta, agent.init_rounds, env_rng)
+        # The warm-up gram holds no ridge term until the first fit.
+        assert agent.state.ridge_lambda is None
+        np.testing.assert_allclose(
+            agent.state.gram, gram_from_arms(features, agent._arms[: agent._seen], 0.0),
+            rtol=1e-8)
+        run_linear(agent, features, theta, 250, env_rng,
+                   start=agent.init_rounds + 1)
+        assert agent.state.ridge_lambda == 1.0
+        arms = agent._arms[: agent._seen]
+        np.testing.assert_allclose(agent.state.gram,
+                                   gram_from_arms(features, arms, 1.0), rtol=1e-8)
+        assert agent._seen == 250
 
     def test_deterministic_replay(self):
         features = np.random.default_rng(20).normal(size=(4, 2))
@@ -413,7 +444,7 @@ class TestLinRewardPoolAgent:
         smallest = np.linalg.eigvalsh(agent.state.gram)[0]
         # The regularizer solves lam = min_eig(gram) / 4 including itself;
         # the gram at the first fit satisfied the fixed point exactly.
-        state_at_fit = agent.state.xs[: agent.init_rounds]
-        base = np.linalg.eigvalsh(state_at_fit.T @ state_at_fit)[0]
+        warmup = agent._arms[: agent.init_rounds]
+        base = np.linalg.eigvalsh(gram_from_arms(features, warmup, 0.0))[0]
         assert lam == pytest.approx((base + lam) / 4.0)
         assert smallest >= lam

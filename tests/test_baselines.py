@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from banditpool.agents import LinearModelState, perturbed_mean_estimates
+from banditpool.agents import (
+    LinearModelState,
+    arm_sums,
+    perturbed_mean_estimates,
+    ridge_solve,
+)
 from banditpool.baselines import (
     BernoulliPHEAgent,
     BernoulliTSAgent,
@@ -134,12 +139,13 @@ class TestPHE:
 
     def test_combine_hand_example(self):
         """V = 2 over 2 pulls plus pseudo rewards 1 and 0: (2 + 1) / 4."""
-        est = perturbed_mean_estimates([2.0], [2 + 2], [1.0, 0.0], [0, 0])
+        est = perturbed_mean_estimates([2.0], [2 + 2],
+                                       arm_sums([0, 0], [1.0, 0.0], 1))
         assert est[0] == pytest.approx(0.75)
 
     def test_no_pseudo_rewards_gives_plain_mean(self):
-        est = perturbed_mean_estimates([2.0], [4], np.empty(0),
-                                       np.empty(0, dtype=np.int64))
+        est = perturbed_mean_estimates(
+            [2.0], [4], arm_sums(np.empty(0, dtype=np.int64), np.empty(0), 1))
         assert est[0] == pytest.approx(0.5)
         assert phe_pseudo_counts(0, 1.0) == 0
 
@@ -168,8 +174,8 @@ class TestPHE:
 
 class TestLinearPrimitives:
     def make_state(self):
-        state = LinearModelState(1, capacity=4)
-        state.start(1.0)
+        state = LinearModelState(1)
+        state.regularize(1.0)
         state.add(np.array([1.0]), 1.0)
         state.add(np.array([1.0]), 0.0)
         return state
@@ -184,8 +190,8 @@ class TestLinearPrimitives:
         rng = np.random.default_rng(21)
         for dim, n_arms in [(1, 3), (4, 7), (10, 50)]:
             features = rng.normal(size=(n_arms, dim))
-            state = LinearModelState(dim, capacity=30)
-            state.start(1.0)
+            state = LinearModelState(dim)
+            state.regularize(1.0)
             for _ in range(30):
                 state.add(features[rng.integers(n_arms)], float(rng.normal()))
             factor = cho_factor(state.gram, lower=True)
@@ -203,7 +209,7 @@ class TestLinearPrimitives:
     def test_zero_sigma_ts_is_greedy(self):
         state = self.make_state()
         theta = lints_sample(state, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(theta, state.mean_fit())
+        np.testing.assert_allclose(theta, ridge_solve(state.gram, state.xy_sum))
 
     def test_lints_sample_moments(self):
         rng = np.random.default_rng(7)

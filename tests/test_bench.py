@@ -672,3 +672,19 @@ class TestCli:
         assert report[0] == "check,params,trials,failures,bound,empirical,pass"
         assert len(report) == 6
         assert capsys.readouterr().out.count("PASS") == 5
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--horizon", "0", 1),
+        ("--horizon", "-3", 1),
+        ("--trials", "0", 1),
+        ("--mc-trials", "5", 10_000),
+    ])
+    def test_check_rejects_bad_numeric_flags(self, tmp_path, capsys, flag,
+                                             value, least):
+        """One ``error:`` line and status 2 before any check runs."""
+        rc = cli.main(["check", "--out", str(tmp_path), flag, value])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {flag}: must be at least {least}, got {value}\n"
+        assert out.out == ""
+        assert not (tmp_path / "check_report.csv").exists()

@@ -11,6 +11,13 @@ The hashes are tied to the numpy, scipy and BLAS/LAPACK builds they were
 recorded with (numpy 2.4.6, scipy 1.17.1, OpenBLAS on x86-64): a different
 build may round a dot product or a Cholesky factor differently and so move
 them without any change to this package.
+
+No value here has been re-recorded.  On top of commit c17c7d7 the linear
+agents came to keep arm indices in place of feature rows, which moves the
+linear pool agent, LinTS and LinPHE by rounding only; that change followed
+the protocol in ``tests/test_scores_hash.py``, and the ``linear`` pair here
+kept its recorded value, because every linear kind still played the same
+arms in these episodes.
 """
 
 import hashlib

@@ -58,8 +58,8 @@ def test_first_solves_bit_identical_to_scipy_wrappers(tmp_path, first):
 
         rng = np.random.default_rng(5)
         features = rng.normal(size=(50, 10))
-        state = LinearModelState(10, capacity=40)
-        state.start(1.0)
+        state = LinearModelState(10)
+        state.regularize(1.0)
         for _ in range(40):
             state.add(features[rng.integers(50)], float(rng.normal()))
         rhs = rng.normal(size=10)

@@ -40,7 +40,7 @@ FEATURES = np.eye(2)
     ("ridge_lambda", lambda: PoolParams(ridge_lambda=NAN)),
     ("ridge_lambda", lambda: PoolParams(ridge_lambda=INF)),
     ("alpha", lambda: build_pool([0.0, 1.0], NAN)),
-    ("ridge_lambda", lambda: LinearModelState(2, capacity=4).start(NAN)),
+    ("ridge_lambda", lambda: LinearModelState(2).regularize(NAN)),
 ], ids=["pool-alpha-nan", "pool-alpha-inf", "pool-z-nan", "pool-lambda-nan",
         "pool-lambda-inf", "build_pool-alpha", "linear-state-lambda"])
 def test_pool_parameters(field, build):

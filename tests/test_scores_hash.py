@@ -17,6 +17,16 @@ tied to the numpy, scipy and BLAS/LAPACK builds they were recorded with
 A second table gates the linear paths that default parameters never run
 (``auto_ridge``, a zero ridge, Bernoulli LinPHE pseudo rewards); its values
 were recorded before the four linear kinds came to share one linear model.
+
+Six linear values were re-recorded on top of commit c17c7d7, when the linear
+agents came to keep arm indices in place of feature rows: ``pool``,
+``lints`` and ``linphe`` here, and ``pool_auto``, ``pool_lambda0`` and
+``linphe_bern`` in the second table.  That change moves the arithmetic by
+rounding only, so it followed a fixed protocol: test-local copies of the old
+formulas (``tests/test_linear_references.py``) agree with the new code to
+1e-12 relative from identical generator states, and only then were the
+hashes re-recorded, in the same commit.  The MAB, ranking and ``linucb``
+values did not move.
 """
 
 import hashlib
@@ -43,10 +53,10 @@ SCORES_SHA256 = {
     ("mab", "gauss_ts"): "1afe13fe886e2a566b312dc71c52f377f9e5eb25274a30d9a389e297489f934a",
     ("mab", "bern_phe"): "0bdebc528c5b1130ea9c907130af1cbea893e98beff93606ef4da499b5a4aa4b",
     ("mab", "gauss_phe"): "2f36d895666f56cfbdfd3f8804b13188e71ce9162158cc97d9ce5677cb4527a0",
-    ("linear", "pool"): "a49f8cabcea4cb6fbd2648e1d63f16ae6fe8e704933613b908fe4bb7004a61db",
+    ("linear", "pool"): "d506c339d8468bfa69a0e9c09dbbea2c5f19668cd8fe8c17b7a6212ba5848284",
     ("linear", "linucb"): "109eecc3b5b9a6edcb269611d5b7c7db9f33a2fbd8c4b0edd8ffce4e64a10f1e",
-    ("linear", "lints"): "7cf69339619663a93f30266053be8f4eb2cd6ed1f58f87b5657e16f1b182a635",
-    ("linear", "linphe"): "39bb09ee17d682cd1e4b836e14fcf2b5406b91c40a7099e258f9bd3519451ea4",
+    ("linear", "lints"): "6bfcadd96568e18b5aff62e06266f57f7d25d15ecc9ea5c2e7b694e69ce245ae",
+    ("linear", "linphe"): "bfd3a20aba1b6a229700b1a87d6b7a231b10dc0c16201a5fc5ca50f45d59bab0",
     ("ranking", "pool"): "0ecac3456e0820dfcdb47f7c421d004248ceacdc62f41f1b519756d77c08314c",
     ("ranking", "klucb"): "6201f47dbd0d5c8424d7b36cd4b3813ed3a8fd6b54a9653539ff5973bff3de28",
     ("ranking", "bern_ts"): "2cb898c2c06ce84fb8bca09c7fe3e78fbdb904b83f7fa781980e73ae57435214",
@@ -57,11 +67,11 @@ SCORES_SHA256 = {
 # name (the agent name that seeds its stream) -> (kind, params, SHA-256).
 LINEAR_VARIANT_SHA256 = {
     "pool_auto": ("pool", {"auto_ridge": True},
-                  "f514f9109bc73e8dd417de926707396b6bb11a6e9c069324e8ac89a9a4b418f7"),
+                  "7877056acf8612bfa32d3eab571311dac30f0ad2a5e83a20c8b2b668962db6f9"),
     "pool_lambda0": ("pool", {"lambda": 0.0},
-                     "2411c38dda51d2cd47cda17f438ac9a48406bea6f08ff2453edfb1fd886f50d8"),
+                     "f4b2287bc7174a3cea3061f5f0b08937933fc68e8efe4772f0c8f2140d40f3f3"),
     "linphe_bern": ("linphe", {"pseudo": "bernoulli"},
-                    "be55fe74851e413d29e8e699ff7d2aa99b9e525fe462ce539ef7fa31d46c89b4"),
+                    "f72aaad6fb51b903842bc972491fb32b625fd9d78f73c1841d4bf5adbe968303"),
 }
 
 
