@@ -233,10 +233,16 @@ class _ArmStatsAgent(Agent):
         self.pulls[arm] += 1
         self.totals[arm] += reward
 
+    def _estimate(self, sums: np.ndarray) -> np.ndarray:
+        """``(V_i + U_i) / s_i`` for the per-arm noise sums ``U``."""
+        return perturbed_mean_estimates(self.totals, self.pulls, sums)
 
-class _History:
-    """An agent's observations as (arm index, reward) pairs, in order; a
-    mixin listed ahead of the ``Agent`` base it extends."""
+
+class _PerturbedHistory:
+    """The one body of the agents that perturb their history (both pool
+    agents and LinPHE), a mixin listed ahead of the ``Agent`` base.  It keeps
+    (arm index, reward) pairs in order; ``_scores`` shifts each past reward
+    by a fresh ``_noise`` value and refits with ``_estimate``."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -250,16 +256,21 @@ class _History:
         self._rewards[self._seen] = reward
         self._seen += 1
 
+    def _scores(self, t: int) -> np.ndarray:
+        """Fresh draws every call; all ``+inf``, with nothing drawn, while no
+        reward is stored (only in a ranker's first round: no warm-up)."""
+        m = self._seen
+        if m == 0:
+            return np.full(self.n_arms, np.inf)
+        return self._estimate(arm_sums(self._arms[:m], self._noise(m),
+                                       self.n_arms))
 
-class _PoolExploration(_History):
-    """The body the multi-armed and linear pool agents share.
 
-    After the warm-up, each round rebuilds the pool from all past rewards,
-    draws one fresh pool value per past observation and sums the draws per
-    arm into ``U``; the agent plays the argmax of ``_estimate(U)``.  Neither
-    pool agent subclasses the other: perfbench's tracer wraps ``select`` and
-    ``update`` of both, and inheritance would nest those spans.
-    """
+class _PoolExploration(_PerturbedHistory):
+    """The pool agents' noise: each round rebuilds the pool from all past
+    rewards and draws one value per observation.  Neither pool agent
+    subclasses the other: perfbench's tracer wraps ``select`` and ``update``
+    of both, and inheritance would nest those spans."""
 
     def _start_pool(self, params: PoolParams, rng: np.random.Generator | None,
                     dims: int) -> None:
@@ -272,17 +283,8 @@ class _PoolExploration(_History):
             raise RuntimeError("no rewards observed yet")
         return build_pool(self._rewards[: self._seen], self.params.alpha)
 
-    def _scores(self, t: int) -> np.ndarray:
-        """Fresh pool-perturbed per-arm estimates (new draws every call).
-
-        All ``+inf`` while no reward is stored, which happens only in a
-        ranker's first round (rankers play no warm-up); no pool is built.
-        """
-        if self._seen == 0:
-            return np.full(self.n_arms, np.inf)
-        draws = self.current_pool().draw(self._seen, self.rng)
-        return self._estimate(arm_sums(self._arms[: self._seen], draws,
-                                       self.n_arms))
+    def _noise(self, m: int) -> np.ndarray:
+        return self.current_pool().draw(m, self.rng)
 
 
 class RewardPoolAgent(_PoolExploration, _ArmStatsAgent):
@@ -294,9 +296,6 @@ class RewardPoolAgent(_PoolExploration, _ArmStatsAgent):
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
         self._start_pool(params, rng, n_arms)
-
-    def _estimate(self, sums: np.ndarray) -> np.ndarray:
-        return perturbed_mean_estimates(self.totals, self.pulls, sums)
 
 
 class LinearModelState:
@@ -326,9 +325,12 @@ class LinearModelState:
 
 class _LinearAgent(Agent):
     """A ridge fit over a fixed, finite arm-feature matrix: each observation
-    joins ``state``, which subclasses regularize before their first fit."""
+    joins ``state``.  A ``ridge_lambda`` given here regularizes at once and
+    must be positive (a fit in round 1 sees ``lambda * I`` alone); without
+    one the subclass regularizes before its first fit."""
 
-    def __init__(self, features: np.ndarray, horizon: int) -> None:
+    def __init__(self, features: np.ndarray, horizon: int,
+                 ridge_lambda: float | None = None) -> None:
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
             raise ValueError("features must be a (K, d) matrix")
@@ -338,6 +340,11 @@ class _LinearAgent(Agent):
         self.features = features
         self.dim = features.shape[1]
         self.state = LinearModelState(self.dim)
+        if ridge_lambda is not None:
+            if not 0.0 < ridge_lambda < math.inf:
+                raise ValueError(
+                    f"ridge_lambda must be positive and finite, got {ridge_lambda}")
+            self.state.regularize(ridge_lambda)
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         self.state.add(self.features[arm], reward)
@@ -347,6 +354,9 @@ class _LinearAgent(Agent):
         past reward shifted by its own noise value, ``U`` summing them per arm."""
         return ridge_solve(self.state.gram,
                            self.state.xy_sum + self.features.T @ sums)
+
+    def _estimate(self, sums: np.ndarray) -> np.ndarray:
+        return self.features @ self._perturbed_fit(sums)
 
 
 class LinRewardPoolAgent(_PoolExploration, _LinearAgent):
@@ -374,7 +384,6 @@ class LinRewardPoolAgent(_PoolExploration, _LinearAgent):
         return smallest / 3.0
 
     def _estimate(self, sums: np.ndarray) -> np.ndarray:
-        """``x_i . theta`` for the pool-perturbed parameter estimate."""
         if self.state.ridge_lambda is None:
             self.state.regularize(self._ridge_value())
-        return self.features @ self._perturbed_fit(sums)
+        return super()._estimate(sums)

@@ -16,9 +16,9 @@ from .agents import (
     _ArmStatsAgent,
     _cholesky_factor,
     _cholesky_solve,
-    _History,
     _lapack,
     _LinearAgent,
+    _PerturbedHistory,
     arm_sums,
     perturbed_mean_estimates,
 )
@@ -215,15 +215,6 @@ class GaussianPHEAgent(_PHEAgent):
 # ---------------------------------------------------------------------------
 
 
-def _positive_ridge(ridge_lambda: float) -> float:
-    """``ridge_lambda``, which must be positive: these agents fit from round 1,
-    when the Gram matrix is ``lambda * I`` alone."""
-    if not 0.0 < ridge_lambda < math.inf:
-        raise ValueError(
-            f"ridge_lambda must be positive and finite, got {ridge_lambda}")
-    return ridge_lambda
-
-
 def linucb_scores(state: LinearModelState, features: np.ndarray,
                   width: float) -> np.ndarray:
     """Optimistic scores ``x . theta_hat + width * ||x||_{G^{-1}}`` per arm."""
@@ -249,8 +240,7 @@ def lints_sample(state: LinearModelState, sigma_ts: float,
 class LinUCBAgent(_LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, width: float = 1.0,
                  ridge_lambda: float = 1.0) -> None:
-        super().__init__(features, horizon)
-        self.state.regularize(_positive_ridge(ridge_lambda))
+        super().__init__(features, horizon, ridge_lambda)
         if not 0.0 <= width < math.inf:
             raise ValueError(f"width must be >= 0 and finite, got {width}")
         self.width = float(width)
@@ -263,8 +253,7 @@ class LinTSAgent(_LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, sigma_ts: float = 1.0,
                  ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
-        super().__init__(features, horizon)
-        self.state.regularize(_positive_ridge(ridge_lambda))
+        super().__init__(features, horizon, ridge_lambda)
         if not 0.0 <= sigma_ts < math.inf:
             raise ValueError(f"sigma_ts must be >= 0 and finite, got {sigma_ts}")
         self.sigma_ts = float(sigma_ts)
@@ -274,7 +263,7 @@ class LinTSAgent(_LinearAgent):
         return self.features @ lints_sample(self.state, self.sigma_ts, self.rng)
 
 
-class LinPHEAgent(_History, _LinearAgent):
+class LinPHEAgent(_PerturbedHistory, _LinearAgent):
     """Linear perturbed history: every fit shifts each past reward by fresh
     pseudo-reward noise, centred coins ``a * (B - 1/2)`` for ``bernoulli`` and
     ``N(0, a^2)`` for ``gaussian``."""
@@ -282,8 +271,7 @@ class LinPHEAgent(_History, _LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, a: float = 1.0,
                  pseudo_family: str = "bernoulli", ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
-        super().__init__(features, horizon)
-        self.state.regularize(_positive_ridge(ridge_lambda))
+        super().__init__(features, horizon, ridge_lambda)
         if not 0.0 < a < math.inf:
             raise ValueError(
                 f"perturbation scale a must be positive and finite, got {a}")
@@ -299,10 +287,7 @@ class LinPHEAgent(_History, _LinearAgent):
             return (t - 1) % self.n_arms
         return None
 
-    def _scores(self, t: int) -> np.ndarray:
+    def _noise(self, m: int) -> np.ndarray:
         if self.pseudo_family == "bernoulli":
-            noise = self.a * (self.rng.integers(0, 2, size=self._seen) - 0.5)
-        else:
-            noise = self.rng.normal(0.0, self.a, size=self._seen)
-        sums = arm_sums(self._arms[: self._seen], noise, self.n_arms)
-        return self.features @ self._perturbed_fit(sums)
+            return self.a * (self.rng.integers(0, 2, size=m) - 0.5)
+        return self.rng.normal(0.0, self.a, size=m)

@@ -63,6 +63,11 @@ def _cmd_check(args) -> int:
         if value < least:
             raise bench.ConfigError(
                 f"--{flag}: must be at least {least}, got {value}")
+    bound = theory.pool_check_bound(args.horizon, args.trials)
+    if bound >= 1.0:
+        raise bench.ConfigError(
+            f"--horizon: {args.horizon} with --trials {args.trials} gives the "
+            f"pool checks a passing bound of {bound:g}, so they cannot fail")
     reports = theory.default_checks(seed=args.seed, horizon=args.horizon,
                                     pool_trials=args.trials,
                                     mc_trials=args.mc_trials)

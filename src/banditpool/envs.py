@@ -19,6 +19,7 @@ DEFAULT_BETA_CONCENTRATION = 4.0
 DEFAULT_GAUSSIAN_STD = 0.5
 DEFAULT_ATTRACTION_LOW = 0.1
 DEFAULT_ATTRACTION_HIGH = 0.7
+LINEAR_MAX_TRIES = 100  # draws generate_linear makes before giving up
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:
@@ -239,8 +240,7 @@ def generate_mab(n_arms: int, family: str, rng: np.random.Generator,
 
 def generate_linear(n_arms: int, dim: int, family: str, rng: np.random.Generator,
                     v: float = DEFAULT_BETA_CONCENTRATION,
-                    sigma: float = DEFAULT_GAUSSIAN_STD,
-                    max_tries: int = 100) -> LinearInstance:
+                    sigma: float = DEFAULT_GAUSSIAN_STD) -> LinearInstance:
     """Draw a random linear instance with mean rewards inside [0.25, 0.75].
 
     Raw coordinates are negated lognormal magnitudes with a positive random
@@ -253,7 +253,7 @@ def generate_linear(n_arms: int, dim: int, family: str, rng: np.random.Generator
     """
     if not n_arms >= dim >= 1:
         raise ValueError(f"need K >= d >= 1, got K={n_arms}, d={dim}")
-    for _ in range(max_tries):
+    for _ in range(LINEAR_MAX_TRIES):
         if dim == 1:
             # No room for a constant coordinate: put the target means into
             # the features directly and keep the parameter at 1.
@@ -273,8 +273,8 @@ def generate_linear(n_arms: int, dim: int, family: str, rng: np.random.Generator
         if np.linalg.matrix_rank(features[-dim:]) == dim:
             return LinearInstance(features=features, theta_star=theta,
                                   family=family, v=v, sigma=sigma)
-    raise RuntimeError(
-        f"failed to generate a linear instance with a feature basis in {max_tries} tries")
+    raise RuntimeError("failed to generate a linear instance with a feature "
+                       f"basis in {LINEAR_MAX_TRIES} tries")
 
 
 def generate_cascade(n_items: int, slate_size: int, rng: np.random.Generator,

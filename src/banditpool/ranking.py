@@ -46,16 +46,16 @@ def exploration_budget(t: int) -> float:
 
 # Largest starting point of the Newton iteration; kl(mean, q) diverges at 1.
 _Q_MAX = 1.0 - 1e-12
+KLUCB_TOL = 1e-6  # how close klucb_solve's result lies to the root
 
 
-def klucb_solve(mean: float, observations: int, budget: float,
-                tol: float = 1e-6) -> float:
+def klucb_solve(mean: float, observations: int, budget: float) -> float:
     """Largest q in [mean, 1] with ``observations * kl(mean, q) <= budget``.
 
-    The result lies within ``tol`` of that q, and the scaled divergence at it
-    lies within 1e-6 of the budget unless q sits so close to 1 that floating
-    point cannot resolve it further.  ``q -> kl(mean, q)`` is convex and
-    increasing on [mean, 1), so Newton's method started above the root
+    The result lies within ``KLUCB_TOL`` of that q, and the scaled divergence
+    at it lies within 1e-6 of the budget unless q sits so close to 1 that
+    floating point cannot resolve it further.  ``q -> kl(mean, q)`` is convex
+    and increasing on [mean, 1), so Newton's method started above the root
     descends onto it in a few steps (Garivier & Cappe, COLT 2011).  It starts
     at the Pinsker bound ``mean + sqrt(target / 2)``, capped at ``1 - 1e-12``.
     A bracket around the root catches any step that leaves it; such a step
@@ -81,19 +81,17 @@ def klucb_solve(mean: float, observations: int, budget: float,
         else:
             hi = q
         step = gap * q * (1.0 - q) / (q - mean)
-        if abs(step) <= tol and (observations * abs(gap) <= 1e-6
-                                 or abs(step) <= 4.0 * math.ulp(q)):
+        if abs(step) <= KLUCB_TOL and (observations * abs(gap) <= 1e-6
+                                       or abs(step) <= 4.0 * math.ulp(q)):
             return q
         q -= step
 
 
-def klucb_index(clicks: float, observations: int, t: int,
-                tol: float = 1e-6) -> float:
+def klucb_index(clicks: float, observations: int, t: int) -> float:
     """Per-item upper confidence bound; items never observed score 1.0."""
     if observations < 1:
         return 1.0
-    return klucb_solve(clicks / observations, observations,
-                       exploration_budget(t), tol)
+    return klucb_solve(clicks / observations, observations, exploration_budget(t))
 
 
 def rank_topk(scores, k: int) -> list[int]:

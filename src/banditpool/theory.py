@@ -37,8 +37,11 @@ class CheckReport:
 MIN_MC_TRIALS = 10_000  # the fewest draws check_shifted_ball accepts
 
 
-def _binomial_slack(rate: float, trials: int) -> float:
-    return 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
+def pool_check_bound(horizon: int, trials: int) -> float:
+    """A pool check's passing failure rate: the claimed ``1 / horizon`` plus
+    three binomial standard errors.  At 1 or more the check cannot fail."""
+    rate = 1.0 / horizon
+    return rate + 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
 
 
 def _prefix_pool_variances(rewards: np.ndarray,
@@ -119,9 +122,8 @@ def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0
         means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
         rewards = means + sigma * rng.standard_normal(horizon)
         failures += _violates_floor(rewards, alpha, floor, first_round)
-    rate = 1.0 / horizon
     empirical = failures / trials
-    bound = rate + _binomial_slack(rate, trials)
+    bound = pool_check_bound(horizon, trials)
     return CheckReport(
         check="pool_variance_floor",
         params=f"n={horizon} z={z} alpha={alpha} sigma={sigma}",
@@ -152,9 +154,8 @@ def check_value_bound(horizon: int = 1000, alpha: float = 1.0, sigma: float = 0.
         pool = build_pool(rewards, alpha)
         if float(np.abs(pool.values).max()) > bound_value:
             failures += 1
-    rate = 1.0 / horizon
     empirical = failures / trials
-    bound = rate + _binomial_slack(rate, trials)
+    bound = pool_check_bound(horizon, trials)
     return CheckReport(
         check="pool_value_bound",
         params=f"n={horizon} alpha={alpha} sigma={sigma}",

@@ -37,6 +37,8 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 # Shared benchmark fixtures
 # ---------------------------------------------------------------------------
+# They run on two worker processes: collect_runs output is byte-identical for
+# any worker count (criterion 9), so this changes no figure, only wall time.
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,8 @@ def mab_benchmark(tmp_path_factory):
                     AgentSpec("ucb1", "ucb1", {}),
                     AgentSpec("ucbv", "ucbv", {})),
             horizon=10_000, instances=20, runs=1, seed=BASE_SEED,
-            out_dir=str(tmp_path_factory.mktemp(f"mab_{family}")), stride=500)
+            out_dir=str(tmp_path_factory.mktemp(f"mab_{family}")), stride=500,
+            workers=2)
         out[family] = run_experiment(config)["aggregates"]
     return out
 
@@ -75,7 +78,8 @@ def linear_benchmark(tmp_path_factory):
                     AgentSpec("lints_easy", "lints", {"sigma_ts": 0.2}),
                     AgentSpec("lints_hard", "lints", {"sigma_ts": 1.0})),
             horizon=5_000, instances=12, runs=1, seed=BASE_SEED,
-            out_dir=str(tmp_path_factory.mktemp(f"linear_{label}")), stride=500)
+            out_dir=str(tmp_path_factory.mktemp(f"linear_{label}")), stride=500,
+            workers=2)
         out[label] = run_experiment(config)["aggregates"]
     return out
 
@@ -97,7 +101,8 @@ def ranking_benchmark(tmp_path_factory):
         agents=(AgentSpec("pool", "pool", {}),
                 AgentSpec("klucb", "klucb", {})),
         horizon=20_000, instances=10, runs=1, seed=BASE_SEED,
-        out_dir=str(tmp_path_factory.mktemp("ranking")), stride=1000)
+        out_dir=str(tmp_path_factory.mktemp("ranking")), stride=1000,
+        workers=2)
     return run_experiment(config)["aggregates"]
 
 

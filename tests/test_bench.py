@@ -688,3 +688,38 @@ class TestCli:
         assert out.err == f"error: {flag}: must be at least {least}, got {value}\n"
         assert out.out == ""
         assert not (tmp_path / "check_report.csv").exists()
+
+    @pytest.mark.parametrize("horizon, trials, bound", [
+        ("1", "3", "1"),
+        ("1", "2000", "1"),
+        ("2", "3", "1.36603"),
+    ])
+    def test_check_rejects_pairs_whose_checks_cannot_fail(
+            self, tmp_path, capsys, monkeypatch, horizon, trials, bound):
+        """A pool check bound of 1 or more passes any failure rate: the pair
+        is rejected with one ``error:`` line and status 2 before any check."""
+        def no_checks(**kwargs):
+            raise AssertionError("a check ran before the flags were checked")
+
+        monkeypatch.setattr(cli.theory, "default_checks", no_checks)
+        rc = cli.main(["check", "--out", str(tmp_path), "--horizon", horizon,
+                       "--trials", trials])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.err == (
+            f"error: --horizon: {horizon} with --trials {trials} gives the pool "
+            f"checks a passing bound of {bound}, so they cannot fail\n")
+        assert out.out == ""
+        assert not (tmp_path / "check_report.csv").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["--horizon", "2"]])
+    def test_check_runs_pairs_whose_checks_can_fail(self, tmp_path,
+                                                    monkeypatch, argv):
+        """The guard reads the pair: the defaults (n = 1000, 2000 trials)
+        run, and so does n = 2 at 2000 trials, whose bound is 0.534."""
+        calls = []
+        monkeypatch.setattr(cli.theory, "default_checks",
+                            lambda **kwargs: calls.append(kwargs) or [])
+        assert cli.main(["check", "--out", str(tmp_path), *argv]) == 0
+        assert calls == [{"seed": 0, "horizon": int(argv[-1]) if argv else 1000,
+                          "pool_trials": 2000, "mc_trials": 100_000}]

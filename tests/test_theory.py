@@ -20,6 +20,7 @@ from banditpool.theory import (
     check_value_bound,
     check_variance_floor,
     default_checks,
+    pool_check_bound,
     pool_value_bound,
     posterior_moments,
     variance_floor_threshold,
@@ -287,6 +288,25 @@ class TestTailMass:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             check_tail_mass(inner=2.0, outer=1.0)
+
+
+class TestPoolCheckBound:
+    @pytest.mark.parametrize("horizon, trials, expected", [
+        (1, 3, 1.0),
+        (1, 2000, 1.0),
+        (2, 3, 0.5 + 3.0 * math.sqrt(0.25 / 3)),
+        (2, 2000, 0.5 + 3.0 * math.sqrt(0.25 / 2000)),
+    ])
+    def test_claimed_rate_plus_three_standard_errors(self, horizon, trials,
+                                                     expected):
+        assert pool_check_bound(horizon, trials) == pytest.approx(expected,
+                                                                  rel=1e-15)
+
+    def test_both_pool_checks_report_it(self):
+        rng = np.random.default_rng(5)
+        for check in (check_variance_floor, check_value_bound):
+            report = check(horizon=40, trials=30, rng=rng)
+            assert report.bound == pool_check_bound(40, 30)
 
 
 class TestReporting:
