@@ -68,6 +68,12 @@ def _cmd_check(args) -> int:
         raise bench.ConfigError(
             f"--horizon: {args.horizon} with --trials {args.trials} gives the "
             f"pool checks a passing bound of {bound:g}, so they cannot fail")
+    first = theory.first_checked_round(args.horizon, theory.FLOOR_Z)
+    if first > args.horizon:
+        raise bench.ConfigError(
+            f"--horizon: {args.horizon} ends before round {first}, where the "
+            f"variance-floor check (z = {theory.FLOOR_Z}) starts, so it would "
+            f"check nothing")
     reports = theory.default_checks(seed=args.seed, horizon=args.horizon,
                                     pool_trials=args.trials,
                                     mc_trials=args.mc_trials)

@@ -35,13 +35,54 @@ class CheckReport:
 
 
 MIN_MC_TRIALS = 10_000  # the fewest draws check_shifted_ball accepts
+FLOOR_Z = 0.6  # the z of default_checks' variance-floor check
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 def pool_check_bound(horizon: int, trials: int) -> float:
     """A pool check's passing failure rate: the claimed ``1 / horizon`` plus
-    three binomial standard errors.  At 1 or more the check cannot fail."""
+    three binomial standard errors.  At 1 or more the check cannot fail.
+
+    Raises ``ValueError`` naming ``horizon`` or ``trials`` below 1.
+    """
+    for field, value in (("horizon", horizon), ("trials", trials)):
+        if value < 1:
+            raise ValueError(f"{field} must be >= 1, got {value}")
     rate = 1.0 / horizon
     return rate + 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
+
+
+def _prefix_moments(rewards: np.ndarray):
+    """Prefix lengths ``k`` and the means of every prefix of the shifted
+    rewards ``rewards - rewards[0]`` and of their squares."""
+    k = np.arange(1.0, rewards.size + 1.0)
+    shifted = rewards - rewards[0]
+    # np.cumsum's sequential sums, without its wrapper code.
+    return (k, np.add.accumulate(shifted) / k,
+            np.add.accumulate(shifted * shifted) / k)
+
+
+def _rounding_margin(scale, k, mean_sq, peak):
+    """``8 (scale g (mean_sq + peak sqrt(mean_sq) + g peak^2) + (k + 4) tiny)``
+    with ``g = (k + 4) eps``, elementwise.
+
+    Each step adds, multiplies or takes the root of non-negative operands,
+    and rounding to nearest keeps order, so raising any argument never lowers
+    the computed margin.
+    """
+    grain = (k + 4.0) * _EPS
+    return 8.0 * (scale * grain * (mean_sq + peak * np.sqrt(mean_sq)
+                                   + grain * peak * peak)
+                  + (k + 4.0) * _TINY)
+
+
+def _largest_margin(scale, mean_sq: np.ndarray, rewards: np.ndarray):
+    """At least every :func:`_rounding_margin` of the prefixes of ``rewards``
+    whose mean squares are among ``mean_sq``: the margin at the largest
+    prefix length, mean square and ``|reward|``.  ``NaN`` or ``inf`` when a
+    reward is not finite."""
+    return _rounding_margin(scale, float(rewards.size), float(mean_sq.max()),
+                            float(np.abs(rewards).max()))
 
 
 def _prefix_pool_variances(rewards: np.ndarray,
@@ -62,18 +103,11 @@ def _prefix_pool_variances(rewards: np.ndarray,
     runs sequentially, so a floor lying outside the margin compares the same
     way against both.
     """
-    k = np.arange(1.0, rewards.size + 1.0)
-    shifted = rewards - rewards[0]
-    mean = np.cumsum(shifted) / k
-    mean_sq = np.cumsum(shifted * shifted) / k
+    k, mean, mean_sq = _prefix_moments(rewards)
     scale = alpha * alpha
-    variances = scale * (mean_sq - mean * mean)
     peak = np.maximum.accumulate(np.abs(rewards))
-    grain = (k + 4.0) * np.finfo(float).eps
-    margin = 8.0 * (scale * grain * (mean_sq + peak * np.sqrt(mean_sq)
-                                     + grain * peak * peak)
-                    + (k + 4.0) * np.finfo(float).tiny)
-    return variances, margin
+    return (scale * (mean_sq - mean * mean),
+            _rounding_margin(scale, k, mean_sq, peak))
 
 
 def _violates_floor(rewards: np.ndarray, alpha: float, floor: float,
@@ -81,21 +115,37 @@ def _violates_floor(rewards: np.ndarray, alpha: float, floor: float,
     """Whether ``build_pool(rewards[:t - 1], alpha).variance() < floor`` at
     some round ``t`` in ``first_round .. len(rewards)``.
 
-    Decides every round from :func:`_prefix_pool_variances` in one pass and
-    rebuilds the pool only at rounds whose fast variance lies within the
-    rounding margin of the floor, so the answer is the one the per-round
-    rebuild gives.
+    Takes the fast variance of every prefix as :func:`_prefix_pool_variances`
+    does.  When the lowest checked one clears the floor by more than
+    :func:`_largest_margin`, no round can be near the floor or below it, and
+    the answer is ``False``.  Otherwise each round is decided against its own
+    rounding margin, and only rounds within it rebuild the pool, so the
+    answer is the one the per-round rebuild gives.
     """
     start = first_round - 1  # length of the shortest prefix checked
     if rewards.size - 1 < start:
         return False
-    variances, margin = _prefix_pool_variances(rewards[:-1], alpha)
-    gap = variances[start - 1:] - floor
-    near = np.abs(gap) <= margin[start - 1:]
+    head = rewards[:-1]
+    k, mean, mean_sq = _prefix_moments(head)
+    checked = slice(start - 1, None)
+    mean, mean_sq = mean[checked], mean_sq[checked]
+    scale = alpha * alpha
+    variances = scale * (mean_sq - mean * mean)
+    if variances.min() - floor > _largest_margin(scale, mean_sq, head):
+        return False
+    peak = np.maximum.accumulate(np.abs(head))[checked]
+    gap = variances - floor
+    near = np.abs(gap) <= _rounding_margin(scale, k[checked], mean_sq, peak)
     if bool(np.any(gap[~near] < 0.0)):
         return True
     return any(build_pool(rewards[:length], alpha).variance() < floor
                for length in np.flatnonzero(near) + start)
+
+
+def first_checked_round(horizon: int, z: float) -> int:
+    """The first round :func:`check_variance_floor` checks: the one after the
+    warm-up threshold.  Past ``horizon`` it checks none."""
+    return math.floor(variance_floor_threshold(horizon, z)) + 1
 
 
 def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0,
@@ -108,22 +158,29 @@ def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0
     and counts a trial as failed if the pool built from the first ``t - 1``
     rewards falls below the floor at any round ``t`` past the warm-up
     threshold (joint counting).  The claimed failure rate is ``1 / horizon``.
+    ``ValueError`` names ``horizon`` when it is below 1 or ends before the
+    first checked round, and ``trials`` when it is below 1.
 
     Each trial takes the pool variance of all its prefixes from cumulative
-    sums, O(horizon) per trial.  A round whose value lies within the rounding
-    margin of the floor is re-decided by building that pool, so the failure
-    count equals the one a pool rebuild at every round gives, for any input.
+    sums, O(horizon) per trial, and passes at once when all of them clear the
+    floor by more than one bound on every round's rounding margin.  In any
+    other trial, a round whose value lies within its margin of the floor is
+    re-decided by building that pool, so the failure count equals the one a
+    pool rebuild at every round gives, for any input.
     """
+    bound = pool_check_bound(horizon, trials)
+    first_round = first_checked_round(horizon, z)
+    if first_round > horizon:
+        raise ValueError(f"horizon {horizon} ends before round {first_round}, "
+                         f"the first checked at z={z}, so no round is checked")
     rng = rng if rng is not None else np.random.default_rng()
     floor = 0.5 * alpha * alpha * z * sigma * sigma
-    first_round = math.floor(variance_floor_threshold(horizon, z)) + 1
     failures = 0
     for _ in range(trials):
         means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
         rewards = means + sigma * rng.standard_normal(horizon)
         failures += _violates_floor(rewards, alpha, floor, first_round)
     empirical = failures / trials
-    bound = pool_check_bound(horizon, trials)
     return CheckReport(
         check="pool_variance_floor",
         params=f"n={horizon} z={z} alpha={alpha} sigma={sigma}",
@@ -145,6 +202,7 @@ def check_value_bound(horizon: int = 1000, alpha: float = 1.0, sigma: float = 0.
     over the whole stream, and counts a trial as failed when any pool value
     exceeds the bound.  The claimed failure rate is ``1 / horizon``.
     """
+    bound = pool_check_bound(horizon, trials)
     rng = rng if rng is not None else np.random.default_rng()
     bound_value = pool_value_bound(horizon, alpha, sigma)
     failures = 0
@@ -155,7 +213,6 @@ def check_value_bound(horizon: int = 1000, alpha: float = 1.0, sigma: float = 0.
         if float(np.abs(pool.values).max()) > bound_value:
             failures += 1
     empirical = failures / trials
-    bound = pool_check_bound(horizon, trials)
     return CheckReport(
         check="pool_value_bound",
         params=f"n={horizon} alpha={alpha} sigma={sigma}",
@@ -169,14 +226,27 @@ def check_shifted_ball(transform, shift, radius: float, trials: int = 100_000,
 
     Estimates ``P(||A Z||^2 <= r^2)`` and ``P(||A Z + v||^2 <= r^2)`` from the
     same draws and passes when the centered mass is not smaller than the
-    shifted mass beyond three combined standard errors.
+    shifted mass beyond three combined standard errors.  ``transform`` is a
+    finite ``d x d`` matrix, ``shift`` a finite vector of length ``d`` and
+    ``radius`` positive and finite; anything else raises ``ValueError``.
     """
     if trials < MIN_MC_TRIALS:
-        raise ValueError(f"need at least {MIN_MC_TRIALS} trials, got {trials}")
-    rng = rng if rng is not None else np.random.default_rng()
-    transform = np.atleast_2d(np.asarray(transform, dtype=float))
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+        raise ValueError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
+    transform = np.asarray(transform, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    if transform.ndim != 2 or transform.shape[0] != transform.shape[1]:
+        raise ValueError(f"transform must be a square matrix, got shape "
+                         f"{transform.shape}")
     dim = transform.shape[0]
+    if shift.shape != (dim,):
+        raise ValueError(f"shift must be a vector of length {dim}, got shape "
+                         f"{shift.shape}")
+    for field, value in (("transform", transform), ("shift", shift)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{field} must be finite")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    rng = rng if rng is not None else np.random.default_rng()
     draws = rng.standard_normal((trials, dim)) @ transform.T
     r2 = radius * radius
     in_center = np.sum(draws * draws, axis=1) <= r2
@@ -216,13 +286,25 @@ def check_posterior_match(prior_mean: float = 0.5, sigma: float = 0.5,
     reward after adding i.i.d. ``N(0, sigma^2)`` noise to each must reproduce
     the posterior ``N((prior + sum Y) / (s + 1), sigma^2 / (s + 1))``.  Both
     empirical moments must land within four standard errors of the targets.
+    A NaN or infinite input, which no moment would match, raises
+    ``ValueError``, as do ``pulls < 0`` and ``trials < 2``.
     """
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+    if pulls < 0:
+        raise ValueError(f"pulls must be >= 0, got {pulls}")
+    if not math.isfinite(prior_mean):
+        raise ValueError(f"prior_mean must be finite, got {prior_mean}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     rng = rng if rng is not None else np.random.default_rng()
     if rewards is None:
         rewards = rng.normal(prior_mean, sigma, size=pulls)
     rewards = np.asarray(rewards, dtype=float)
     if rewards.size != pulls:
         raise ValueError("reward history length must equal the pull count")
+    if not np.isfinite(rewards).all():
+        raise ValueError("rewards must be finite")
     target_mean, target_var = posterior_moments(prior_mean, sigma, rewards)
 
     noise = rng.normal(0.0, sigma, size=(trials, pulls + 1))
@@ -262,10 +344,16 @@ def check_tail_mass(std: float = 1.0, inner: float = 0.5, outer: float = 3.0,
         P(|X| > inner) > (var - inner^2 - 4 var exp(-outer^2 / (2 var))) / outer^2.
 
     The constants are loose by construction, so only the inequality direction
-    is asserted (with three standard errors of slack).
+    is asserted (with three standard errors of slack).  ``std`` must be
+    positive and finite, ``outer`` finite and ``trials`` at least 1.
     """
-    if not 0.0 < inner < outer:
-        raise ValueError("need 0 < inner < outer")
+    if not 0.0 < std < math.inf:
+        raise ValueError(f"std must be positive and finite, got {std}")
+    if not 0.0 < inner < outer < math.inf:
+        raise ValueError(f"inner and outer must satisfy 0 < inner < outer < inf, "
+                         f"got inner={inner}, outer={outer}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = rng if rng is not None else np.random.default_rng()
     var = std * std
     draws = rng.normal(0.0, std, size=trials)
@@ -287,7 +375,7 @@ def default_checks(seed: int = 0, horizon: int = 1000, pool_trials: int = 2000,
     transform = rng.normal(size=(3, 3))
     shift = rng.normal(size=3)
     return [
-        check_variance_floor(horizon=horizon, z=0.6, alpha=1.0, sigma=0.5,
+        check_variance_floor(horizon=horizon, z=FLOOR_Z, alpha=1.0, sigma=0.5,
                              trials=pool_trials, rng=rng),
         check_value_bound(horizon=horizon, alpha=1.0, sigma=0.5,
                           trials=pool_trials, rng=rng),

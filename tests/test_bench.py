@@ -665,7 +665,7 @@ class TestCli:
 
     def test_check_command(self, tmp_path, capsys):
         rc = cli.main(["check", "--out", str(tmp_path), "--seed", "1",
-                       "--horizon", "120", "--trials", "60",
+                       "--horizon", "191", "--trials", "60",
                        "--mc-trials", "10000"])
         assert rc == 0
         report = (tmp_path / "check_report.csv").read_text().splitlines()
@@ -712,11 +712,31 @@ class TestCli:
         assert out.out == ""
         assert not (tmp_path / "check_report.csv").exists()
 
-    @pytest.mark.parametrize("argv", [[], ["--horizon", "2"]])
+    @pytest.mark.parametrize("horizon, first", [("150", 182), ("190", 191)])
+    def test_check_rejects_horizons_that_check_no_round(
+            self, tmp_path, capsys, monkeypatch, horizon, first):
+        """Up to n = 190 the warm-up at z = 0.6 outlasts the horizon and the
+        variance-floor check would check nothing: one ``error:`` line and
+        status 2 before any check."""
+        def no_checks(**kwargs):
+            raise AssertionError("a check ran before the flags were checked")
+
+        monkeypatch.setattr(cli.theory, "default_checks", no_checks)
+        rc = cli.main(["check", "--out", str(tmp_path), "--horizon", horizon])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.err == (
+            f"error: --horizon: {horizon} ends before round {first}, where the "
+            f"variance-floor check (z = 0.6) starts, so it would check nothing\n")
+        assert out.out == ""
+        assert not (tmp_path / "check_report.csv").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["--horizon", "191"]])
     def test_check_runs_pairs_whose_checks_can_fail(self, tmp_path,
                                                     monkeypatch, argv):
-        """The guard reads the pair: the defaults (n = 1000, 2000 trials)
-        run, and so does n = 2 at 2000 trials, whose bound is 0.534."""
+        """The guards read the flags: the defaults (n = 1000, 2000 trials)
+        run, and so does n = 191, the shortest horizon at which the
+        variance-floor check checks a round (bound 0.0101 at 2000 trials)."""
         calls = []
         monkeypatch.setattr(cli.theory, "default_checks",
                             lambda **kwargs: calls.append(kwargs) or [])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from banditpool import theory
 from banditpool.pool import build_pool
 from banditpool.theory import (
+    MIN_MC_TRIALS,
     CheckReport,
     _prefix_pool_variances,
     _violates_floor,
@@ -109,6 +110,59 @@ class TestPrefixPoolVariances:
                 slow = build_pool(rewards[:k], alpha).variance()
                 assert slow == pytest.approx(exact, rel=1e-9, abs=1e-300)
 
+    @settings(deadline=None)
+    @given(st.lists(finite_rewards, min_size=1, max_size=60), alphas, st.data())
+    def test_largest_margin_bounds_every_checked_margin(self, rewards, alpha,
+                                                        data):
+        """The screen's one bound is at least every per-round margin from the
+        first checked prefix on."""
+        rewards = np.array(rewards)
+        start = data.draw(st.integers(1, rewards.size))
+        _, margin = _prefix_pool_variances(rewards, alpha)
+        _, _, mean_sq = theory._prefix_moments(rewards)
+        bound = theory._largest_margin(alpha * alpha, mean_sq[start - 1:],
+                                       rewards)
+        assert np.all(margin[start - 1:] <= bound)
+
+
+class TestFloorScreen:
+    """The screen decides streams far from the floor on one bound and leaves
+    every stream near it to the per-round margins and rebuilds."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(theory, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theory, name, counted)
+        return calls
+
+    def test_stream_far_above_the_floor_takes_no_per_round_margin(
+            self, monkeypatch):
+        margins = self.count_calls(monkeypatch, "_rounding_margin")
+        rewards = np.random.default_rng(14).normal(0.5, 0.5, 1000)
+        assert not _violates_floor(rewards, 1.0, 0.075, 251)
+        assert len(margins) == 1  # the screen's bound, a scalar
+        assert np.ndim(margins[0][1]) == 0
+
+    @pytest.mark.parametrize("toward", [None, -math.inf, math.inf])
+    @pytest.mark.parametrize("a", [0.3, 1e8])
+    def test_stream_on_the_floor_takes_the_exact_path(self, monkeypatch, a,
+                                                      toward):
+        """The 120 rewards before the last round are +a, -a, ..., whose pool
+        variance is a^2 exactly: a floor on it, or one ulp off, is decided
+        by a rebuild."""
+        builds = self.count_calls(monkeypatch, "build_pool")
+        rewards = a * (-1.0) ** np.arange(121)
+        floor = a * a if toward is None else np.nextafter(a * a, toward)
+        assert (_violates_floor(rewards, 1.0, floor, 121)
+                == rebuild_violates(rewards, 1.0, floor, 121))
+        assert len(builds) == 1
+
 
 class TestFloorDecision:
     @pytest.mark.parametrize("alpha", [1.0, 0.6, 3.0])
@@ -152,7 +206,7 @@ class TestFloorDecision:
         dict(horizon=6, z=0.02, alpha=0.7, trials=2000, mean_range=(0.0, 0.0)),
         dict(horizon=12, z=0.05, sigma=2.0, trials=1000, mean_range=(0.0, 0.0)),
         dict(horizon=30, z=0.3, alpha=2.5, sigma=0.1, trials=200),
-        dict(horizon=150, z=0.6, sigma=0.0, trials=20, mean_range=(0.5, 0.5)),
+        dict(horizon=191, z=0.6, sigma=0.0, trials=20, mean_range=(0.5, 0.5)),
     ])
     def test_check_matches_rebuild_on_seeded_configs(self, config):
         for seed in range(3):
@@ -178,9 +232,25 @@ class TestVarianceFloor:
     def test_threshold_formula(self):
         assert variance_floor_threshold(1000, 0.6) == pytest.approx(250.32, abs=0.01)
 
+    def test_shortest_checked_horizon(self):
+        """At z = 0.6 the warm-up outlasts every horizon up to 190."""
+        assert theory.first_checked_round(190, 0.6) == 191
+        assert theory.first_checked_round(191, 0.6) == 191
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(horizon=190), "horizon 190 ends before round 191"),
+        (dict(horizon=150), "horizon 150 ends before round 182"),
+        (dict(horizon=0), "horizon must be >= 1, got 0"),
+        (dict(horizon=-3), "horizon must be >= 1, got -3"),
+        (dict(trials=0), "trials must be >= 1, got 0"),
+    ])
+    def test_rejects_runs_that_check_nothing(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            check_variance_floor(rng=np.random.default_rng(0), **kwargs)
+
     def test_noiseless_constant_stream_never_fails(self):
         """sigma = 0 with constant means: pool variance and floor are both 0."""
-        report = check_variance_floor(horizon=150, z=0.6, alpha=1.0, sigma=0.0,
+        report = check_variance_floor(horizon=191, z=0.6, alpha=1.0, sigma=0.0,
                                       trials=50, rng=np.random.default_rng(0),
                                       mean_range=(0.5, 0.5))
         assert report.failures == 0
@@ -206,6 +276,15 @@ class TestVarianceFloor:
 class TestValueBound:
     def test_bound_formula(self):
         assert pool_value_bound(1000, 1.0, 0.5) == pytest.approx(6.2565, abs=1e-3)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(horizon=0), "horizon must be >= 1, got 0"),
+        (dict(trials=0), "trials must be >= 1, got 0"),
+        (dict(trials=-1), "trials must be >= 1, got -1"),
+    ])
+    def test_rejects_empty_runs(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}$"):
+            check_value_bound(rng=np.random.default_rng(0), **kwargs)
 
     def test_bound_monotone_in_horizon(self):
         assert pool_value_bound(10_000, 1.0, 0.5) > pool_value_bound(1000, 1.0, 0.5)
@@ -246,6 +325,25 @@ class TestShiftedBall:
         with pytest.raises(ValueError):
             check_shifted_ball(np.eye(1), [0.0], 1.0, trials=100)
 
+    @pytest.mark.parametrize("transform, shift, radius, field", [
+        (np.eye(2), [0.0, 0.0], -1.0, "radius"),
+        (np.eye(2), [0.0, 0.0], 0.0, "radius"),
+        (np.eye(2), [0.0, 0.0], math.inf, "radius"),
+        (np.eye(2), [0.0, 0.0], math.nan, "radius"),
+        ([[math.nan]], [0.0], 1.0, "transform"),
+        (np.eye(1), [math.inf], 1.0, "shift"),
+        (np.eye(2), 3.0, 1.0, "shift"),
+        (np.eye(2), [1.0, 2.0, 3.0], 1.0, "shift"),
+        (np.ones((2, 3)), [1.0, 2.0], 1.0, "transform"),
+        ([1.0, 2.0], [1.0, 2.0], 1.0, "transform"),
+        (2.0, [1.0], 1.0, "transform"),
+    ])
+    def test_rejects_inputs_that_pass_vacuously_or_break(self, transform,
+                                                         shift, radius, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            check_shifted_ball(transform, shift, radius, trials=MIN_MC_TRIALS,
+                               rng=np.random.default_rng(0))
+
 
 class TestPosteriorMatch:
     def test_moments_after_three_fixed_rewards(self):
@@ -270,6 +368,21 @@ class TestPosteriorMatch:
         assert report.passed
         assert report.empirical <= 1e-12
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(trials=1), "trials"),
+        (dict(trials=0), "trials"),
+        (dict(pulls=-1), "pulls"),
+        (dict(prior_mean=math.nan), "prior_mean"),
+        (dict(sigma=math.nan), "sigma"),
+        (dict(sigma=math.inf), "sigma"),
+        (dict(sigma=-0.5), "sigma"),
+        (dict(rewards=[math.nan, 0.0, 1.0]), "rewards"),
+    ])
+    def test_rejects_inputs_that_pass_vacuously_or_break(self, kwargs, field):
+        args = dict(prior_mean=0.5, sigma=0.5, pulls=3, trials=1000) | kwargs
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            check_posterior_match(rng=np.random.default_rng(0), **args)
+
     def test_history_length_must_match(self):
         with pytest.raises(ValueError):
             check_posterior_match(0.5, 0.5, 3, trials=1000,
@@ -289,6 +402,19 @@ class TestTailMass:
         with pytest.raises(ValueError):
             check_tail_mass(inner=2.0, outer=1.0)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(std=0.0), "std"),
+        (dict(std=-1.0), "std"),
+        (dict(std=math.nan), "std"),
+        (dict(std=math.inf), "std"),
+        (dict(trials=0), "trials"),
+        (dict(outer=math.inf), "inner and outer"),
+        (dict(inner=math.nan), "inner and outer"),
+    ])
+    def test_rejects_inputs_that_pass_vacuously_or_break(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            check_tail_mass(rng=np.random.default_rng(0), **kwargs)
+
 
 class TestPoolCheckBound:
     @pytest.mark.parametrize("horizon, trials, expected", [
@@ -305,13 +431,13 @@ class TestPoolCheckBound:
     def test_both_pool_checks_report_it(self):
         rng = np.random.default_rng(5)
         for check in (check_variance_floor, check_value_bound):
-            report = check(horizon=40, trials=30, rng=rng)
-            assert report.bound == pool_check_bound(40, 30)
+            report = check(horizon=191, trials=30, rng=rng)
+            assert report.bound == pool_check_bound(191, 30)
 
 
 class TestReporting:
     def test_default_battery_and_csv(self, tmp_path):
-        reports = default_checks(seed=3, horizon=150, pool_trials=60,
+        reports = default_checks(seed=3, horizon=191, pool_trials=60,
                                  mc_trials=10_000)
         assert [r.check for r in reports] == [
             "pool_variance_floor", "pool_value_bound", "shifted_gaussian_ball",
@@ -322,4 +448,4 @@ class TestReporting:
         lines = path.read_text().splitlines()
         assert lines[0] == "check,params,trials,failures,bound,empirical,pass"
         assert len(lines) == 6
-        assert lines[1].startswith("pool_variance_floor,n=150 z=0.6")
+        assert lines[1].startswith("pool_variance_floor,n=191 z=0.6")
