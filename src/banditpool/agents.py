@@ -60,13 +60,10 @@ def init_length(horizon: int, z: float, dims: int) -> int:
     enough that the empirical reward variance after warm-up stays above a
     ``z/2`` fraction of the true variance with high probability.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
+    threshold = variance_floor_threshold(horizon, z)
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    return max(dims, math.ceil(variance_floor_threshold(horizon, z)))
+    return max(dims, math.ceil(threshold))
 
 
 def arm_sums(arms, values, n_arms: int) -> np.ndarray:

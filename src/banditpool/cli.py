@@ -56,27 +56,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # The pool checks take ln(horizon) and divide by trials.
-    for flag, value, least in (("horizon", args.horizon, 1),
-                               ("trials", args.trials, 1),
-                               ("mc-trials", args.mc_trials, theory.MIN_MC_TRIALS)):
-        if value < least:
-            raise bench.ConfigError(
-                f"--{flag}: must be at least {least}, got {value}")
-    bound = theory.pool_check_bound(args.horizon, args.trials)
-    if bound >= 1.0:
-        raise bench.ConfigError(
-            f"--horizon: {args.horizon} with --trials {args.trials} gives the "
-            f"pool checks a passing bound of {bound:g}, so they cannot fail")
-    first = theory.first_checked_round(args.horizon, theory.FLOOR_Z)
-    if first > args.horizon:
-        raise bench.ConfigError(
-            f"--horizon: {args.horizon} ends before round {first}, where the "
-            f"variance-floor check (z = {theory.FLOOR_Z}) starts, so it would "
-            f"check nothing")
-    reports = theory.default_checks(seed=args.seed, horizon=args.horizon,
-                                    pool_trials=args.trials,
-                                    mc_trials=args.mc_trials)
+    battery = dict(seed=args.seed, horizon=args.horizon,
+                   pool_trials=args.trials, mc_trials=args.mc_trials)
+    try:
+        theory.validate_battery(**battery)
+    except ValueError as exc:
+        raise bench.ConfigError(str(exc)) from exc
+    reports = theory.default_checks(**battery)
     path = Path(args.out) / "check_report.csv"
     theory.write_check_report(reports, path)
     for rep in reports:

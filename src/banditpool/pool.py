@@ -86,6 +86,11 @@ def build_pool(rewards, alpha: float) -> RewardPool:
 
 def variance_floor_threshold(horizon: int, z: float) -> float:
     """Warm-up length ``4 ln(horizon) / (z - 1 - ln z) + 1`` after which the
-    pool variance stays above ``alpha^2 z sigma^2 / 2`` with high probability
-    (the denominator is positive for every ``z`` in (0, 1))."""
+    pool variance stays above ``alpha^2 z sigma^2 / 2`` with high probability.
+    ``ValueError`` names ``horizon`` below 1 or ``z`` outside (0, 1), where
+    the denominator is positive."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not 0.0 < z < 1.0:
+        raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
     return 4.0 * math.log(horizon) / (z - 1.0 - math.log(z)) + 1.0

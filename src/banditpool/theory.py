@@ -148,6 +148,34 @@ def first_checked_round(horizon: int, z: float) -> int:
     return math.floor(variance_floor_threshold(horizon, z)) + 1
 
 
+def _pool_trials(horizon: int, trials: int, alpha: float, sigma: float,
+                 mean_range, rng, first_round: int = 1):
+    """A pool check's passing bound and an iterator over its ``trials``
+    reward streams.  First raises ``ValueError`` naming the field of an input
+    the check cannot test, such as a pair whose bound is 1 or more or a
+    horizon that ends before ``first_round``, the first round it tests."""
+    bound = pool_check_bound(horizon, trials)
+    if bound >= 1.0:
+        raise ValueError(f"horizon {horizon} with trials {trials} gives a "
+                         f"passing bound of {bound:g}, so the check cannot fail")
+    if first_round > horizon:
+        raise ValueError(f"horizon {horizon} ends before round {first_round}, "
+                         f"the first checked, so no round is checked")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
+    ends = np.asarray(mean_range, dtype=float)
+    if ends.shape != (2,) or not -math.inf < ends[0] <= ends[1] < math.inf:
+        raise ValueError(f"mean_range must be two finite numbers, low <= high, "
+                         f"got {mean_range}")
+    low, high = ends.tolist()
+    rng = rng if rng is not None else np.random.default_rng()
+    # Each trial draws its means, then its noise.
+    return bound, (rng.uniform(low, high, size=horizon)
+                   + sigma * rng.standard_normal(horizon) for _ in range(trials))
+
+
 def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0,
                          sigma: float = 0.5, trials: int = 2000,
                          rng: np.random.Generator | None = None,
@@ -158,8 +186,7 @@ def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0
     and counts a trial as failed if the pool built from the first ``t - 1``
     rewards falls below the floor at any round ``t`` past the warm-up
     threshold (joint counting).  The claimed failure rate is ``1 / horizon``.
-    ``ValueError`` names ``horizon`` when it is below 1 or ends before the
-    first checked round, and ``trials`` when it is below 1.
+    ``ValueError`` names the field of an input the check cannot test.
 
     Each trial takes the pool variance of all its prefixes from cumulative
     sums, O(horizon) per trial, and passes at once when all of them clear the
@@ -168,18 +195,12 @@ def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0
     re-decided by building that pool, so the failure count equals the one a
     pool rebuild at every round gives, for any input.
     """
-    bound = pool_check_bound(horizon, trials)
     first_round = first_checked_round(horizon, z)
-    if first_round > horizon:
-        raise ValueError(f"horizon {horizon} ends before round {first_round}, "
-                         f"the first checked at z={z}, so no round is checked")
-    rng = rng if rng is not None else np.random.default_rng()
+    bound, streams = _pool_trials(horizon, trials, alpha, sigma, mean_range,
+                                  rng, first_round)
     floor = 0.5 * alpha * alpha * z * sigma * sigma
-    failures = 0
-    for _ in range(trials):
-        means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
-        rewards = means + sigma * rng.standard_normal(horizon)
-        failures += _violates_floor(rewards, alpha, floor, first_round)
+    failures = sum(_violates_floor(rewards, alpha, floor, first_round)
+                   for rewards in streams)
     empirical = failures / trials
     return CheckReport(
         check="pool_variance_floor",
@@ -198,20 +219,14 @@ def check_value_bound(horizon: int = 1000, alpha: float = 1.0, sigma: float = 0.
                       mean_range: tuple[float, float] = (0.0, 1.0)) -> CheckReport:
     """All pool magnitudes stay below the claimed high-probability bound.
 
-    Simulates a full reward stream with means inside [0, 1], builds the pool
-    over the whole stream, and counts a trial as failed when any pool value
-    exceeds the bound.  The claimed failure rate is ``1 / horizon``.
+    Simulates a full reward stream with means inside ``mean_range``, builds
+    the pool over the whole stream, and counts a trial as failed when any
+    pool value exceeds the bound.  The claimed failure rate is ``1 / horizon``.
     """
-    bound = pool_check_bound(horizon, trials)
-    rng = rng if rng is not None else np.random.default_rng()
+    bound, streams = _pool_trials(horizon, trials, alpha, sigma, mean_range, rng)
     bound_value = pool_value_bound(horizon, alpha, sigma)
-    failures = 0
-    for _ in range(trials):
-        means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
-        rewards = means + sigma * rng.standard_normal(horizon)
-        pool = build_pool(rewards, alpha)
-        if float(np.abs(pool.values).max()) > bound_value:
-            failures += 1
+    failures = sum(float(np.abs(build_pool(rewards, alpha).values).max())
+                   > bound_value for rewards in streams)
     empirical = failures / trials
     return CheckReport(
         check="pool_value_bound",
@@ -368,9 +383,25 @@ def check_tail_mass(std: float = 1.0, inner: float = 0.5, outer: float = 3.0,
         empirical=p_tail, passed=p_tail >= lower - 3.0 * se)
 
 
+def validate_battery(seed: int, horizon: int, pool_trials: int,
+                     mc_trials: int) -> None:
+    """Raise ``ValueError`` naming the field of a :func:`default_checks`
+    input that one of its checks would refuse, before any check runs."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if mc_trials < MIN_MC_TRIALS:
+        raise ValueError(f"mc_trials must be >= {MIN_MC_TRIALS}, got {mc_trials}")
+    # The floor check's rules, at default_checks' alpha and sigma, include
+    # the value-bound check's.
+    _pool_trials(horizon, pool_trials, 1.0, 0.5, (0.0, 1.0), None,
+                 first_checked_round(horizon, FLOOR_Z))
+
+
 def default_checks(seed: int = 0, horizon: int = 1000, pool_trials: int = 2000,
                    mc_trials: int = 100_000) -> list[CheckReport]:
-    """Run the full check battery with the benchmark's default parameters."""
+    """Run the full check battery with the benchmark's default parameters,
+    after :func:`validate_battery`."""
+    validate_battery(seed, horizon, pool_trials, mc_trials)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     transform = rng.normal(size=(3, 3))
     shift = rng.normal(size=3)

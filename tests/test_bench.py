@@ -678,14 +678,20 @@ class TestCli:
         ("--horizon", "-3", 1),
         ("--trials", "0", 1),
         ("--mc-trials", "5", 10_000),
+        ("--seed", "-1", 0),
     ])
-    def test_check_rejects_bad_numeric_flags(self, tmp_path, capsys, flag,
-                                             value, least):
-        """One ``error:`` line and status 2 before any check runs."""
+    def test_check_rejects_bad_numeric_flags(self, tmp_path, capsys,
+                                             monkeypatch, flag, value, least):
+        """One ``error:`` line, theory's, and status 2 before any check runs."""
+        def no_checks(**kwargs):
+            raise AssertionError("a check ran before the flags were checked")
+
+        monkeypatch.setattr(cli.theory, "default_checks", no_checks)
         rc = cli.main(["check", "--out", str(tmp_path), flag, value])
         assert rc == 2
         out = capsys.readouterr()
-        assert out.err == f"error: {flag}: must be at least {least}, got {value}\n"
+        field = flag[2:].replace("-", "_")
+        assert out.err == f"error: {field} must be >= {least}, got {value}\n"
         assert out.out == ""
         assert not (tmp_path / "check_report.csv").exists()
 
@@ -707,8 +713,8 @@ class TestCli:
         assert rc == 2
         out = capsys.readouterr()
         assert out.err == (
-            f"error: --horizon: {horizon} with --trials {trials} gives the pool "
-            f"checks a passing bound of {bound}, so they cannot fail\n")
+            f"error: horizon {horizon} with trials {trials} gives a passing "
+            f"bound of {bound}, so the check cannot fail\n")
         assert out.out == ""
         assert not (tmp_path / "check_report.csv").exists()
 
@@ -726,15 +732,15 @@ class TestCli:
         assert rc == 2
         out = capsys.readouterr()
         assert out.err == (
-            f"error: --horizon: {horizon} ends before round {first}, where the "
-            f"variance-floor check (z = 0.6) starts, so it would check nothing\n")
+            f"error: horizon {horizon} ends before round {first}, the first "
+            f"checked, so no round is checked\n")
         assert out.out == ""
         assert not (tmp_path / "check_report.csv").exists()
 
     @pytest.mark.parametrize("argv", [[], ["--horizon", "191"]])
     def test_check_runs_pairs_whose_checks_can_fail(self, tmp_path,
                                                     monkeypatch, argv):
-        """The guards read the flags: the defaults (n = 1000, 2000 trials)
+        """The pre-check reads the flags: the defaults (n = 1000, 2000 trials)
         run, and so does n = 191, the shortest horizon at which the
         variance-floor check checks a round (bound 0.0101 at 2000 trials)."""
         calls = []

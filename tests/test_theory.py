@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditpool import theory
+from banditpool.agents import init_length
 from banditpool.pool import build_pool
 from banditpool.theory import (
     MIN_MC_TRIALS,
@@ -59,6 +60,36 @@ def reference_check_variance_floor(horizon: int = 1000, z: float = 0.6,
         params=f"n={horizon} z={z} alpha={alpha} sigma={sigma}",
         trials=trials, failures=failures, bound=bound, empirical=empirical,
         passed=empirical <= bound)
+
+
+def reference_check_value_bound(horizon: int = 1000, alpha: float = 1.0,
+                                sigma: float = 0.5, trials: int = 2000,
+                                rng=None, mean_range=(0.0, 1.0)) -> CheckReport:
+    """The value-bound check as a loop that draws each trial's stream itself,
+    the definition the shared trial iterator must reproduce exactly."""
+    rng = rng if rng is not None else np.random.default_rng()
+    bound_value = pool_value_bound(horizon, alpha, sigma)
+    failures = 0
+    for _ in range(trials):
+        means = rng.uniform(mean_range[0], mean_range[1], size=horizon)
+        rewards = means + sigma * rng.standard_normal(horizon)
+        pool = build_pool(rewards, alpha)
+        if float(np.abs(pool.values).max()) > bound_value:
+            failures += 1
+    empirical = failures / trials
+    bound = pool_check_bound(horizon, trials)
+    return CheckReport(
+        check="pool_value_bound",
+        params=f"n={horizon} alpha={alpha} sigma={sigma}",
+        trials=trials, failures=failures, bound=bound, empirical=empirical,
+        passed=empirical <= bound)
+
+
+class NoDraws:
+    """An ``rng`` stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} called before the input was refused")
 
 
 def assert_rounds_decided_like_rebuild(rewards, alpha, floor):
@@ -243,10 +274,32 @@ class TestVarianceFloor:
         (dict(horizon=0), "horizon must be >= 1, got 0"),
         (dict(horizon=-3), "horizon must be >= 1, got -3"),
         (dict(trials=0), "trials must be >= 1, got 0"),
+        (dict(horizon=1, trials=3), "horizon 1 with trials 3 gives a passing"),
+        (dict(sigma=math.nan), "sigma must be >= 0 and finite, got nan"),
+        (dict(sigma=math.inf), "sigma must be >= 0 and finite, got inf"),
+        (dict(sigma=-0.5), "sigma must be >= 0 and finite, got -0.5"),
+        (dict(alpha=math.nan), "alpha must be positive and finite, got nan"),
+        (dict(alpha=0.0), "alpha must be positive and finite, got 0.0"),
+        (dict(mean_range=(math.nan, 1.0)), "mean_range must be two finite"),
+        (dict(mean_range=(1.0, 0.0)), "mean_range must be two finite"),
+        (dict(mean_range=(0.0, math.inf)), "mean_range must be two finite"),
+        (dict(mean_range=(0.0, 0.5, 1.0)), "mean_range must be two finite"),
+        (dict(z=0.0), "z must lie strictly inside"),
+        (dict(z=1.0), "z must lie strictly inside"),
+        (dict(z=1.5), "z must lie strictly inside"),
     ])
     def test_rejects_runs_that_check_nothing(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}"):
-            check_variance_floor(rng=np.random.default_rng(0), **kwargs)
+            check_variance_floor(rng=NoDraws(), **kwargs)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0, 1.5, math.nan])
+    def test_threshold_owns_the_rule_on_z(self, z):
+        """The warm-up threshold names z, and init_length passes it on."""
+        message = r"^z must lie strictly inside \(0, 1\), got "
+        with pytest.raises(ValueError, match=message):
+            variance_floor_threshold(100, z)
+        with pytest.raises(ValueError, match=message):
+            init_length(100, z, 3)
 
     def test_noiseless_constant_stream_never_fails(self):
         """sigma = 0 with constant means: pool variance and floor are both 0."""
@@ -281,10 +334,36 @@ class TestValueBound:
         (dict(horizon=0), "horizon must be >= 1, got 0"),
         (dict(trials=0), "trials must be >= 1, got 0"),
         (dict(trials=-1), "trials must be >= 1, got -1"),
+        (dict(horizon=1, trials=5), "horizon 1 with trials 5 gives a passing "
+                                    "bound of 1, so the check cannot fail"),
+        (dict(horizon=2, trials=3), "horizon 2 with trials 3 gives a passing "
+                                    "bound of 1.36603, so the check cannot fail"),
+        (dict(horizon=10, trials=1), "horizon 10 with trials 1 gives a passing "
+                                     "bound of 1, so the check cannot fail"),
+        (dict(sigma=math.nan), "sigma must be >= 0 and finite, got nan"),
+        (dict(alpha=-1.0), "alpha must be positive and finite, got -1.0"),
     ])
     def test_rejects_empty_runs(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}$"):
-            check_value_bound(rng=np.random.default_rng(0), **kwargs)
+            check_value_bound(rng=NoDraws(), **kwargs)
+
+    @pytest.mark.parametrize("mean_range", [(math.nan, 1.0), (1.0, 0.0)])
+    def test_rejects_mean_ranges_it_cannot_draw(self, mean_range):
+        with pytest.raises(ValueError, match="^mean_range must be two finite"):
+            check_value_bound(rng=NoDraws(), mean_range=mean_range)
+
+    @pytest.mark.parametrize("config", [
+        dict(horizon=300, trials=50),
+        dict(horizon=12, alpha=0.7, sigma=2.0, trials=400),
+        dict(horizon=40, alpha=2.5, sigma=0.0, trials=60, mean_range=(0.2, 0.2)),
+        dict(horizon=25, sigma=0.05, trials=200, mean_range=(-3, 4)),
+    ])
+    def test_check_matches_reference_on_seeded_configs(self, config):
+        for seed in range(3):
+            got = check_value_bound(rng=np.random.default_rng(seed), **config)
+            want = reference_check_value_bound(rng=np.random.default_rng(seed),
+                                               **config)
+            assert got == want
 
     def test_bound_monotone_in_horizon(self):
         assert pool_value_bound(10_000, 1.0, 0.5) > pool_value_bound(1000, 1.0, 0.5)
@@ -436,6 +515,25 @@ class TestPoolCheckBound:
 
 
 class TestReporting:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(mc_trials=MIN_MC_TRIALS - 1), "mc_trials must be >= 10000, got 9999"),
+        (dict(horizon=150), "horizon 150 ends before round 182"),
+        (dict(pool_trials=0), "trials must be >= 1, got 0"),
+    ])
+    def test_battery_refuses_before_any_check(self, monkeypatch, kwargs,
+                                              message):
+        def entered(**_):
+            raise AssertionError("check_variance_floor ran")
+
+        monkeypatch.setattr(theory, "check_variance_floor", entered)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            default_checks(**kwargs)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            theory.validate_battery(**(dict(seed=0, horizon=1000,
+                                            pool_trials=2000,
+                                            mc_trials=100_000) | kwargs))
+
     def test_default_battery_and_csv(self, tmp_path):
         reports = default_checks(seed=3, horizon=191, pool_trials=60,
                                  mc_trials=10_000)
