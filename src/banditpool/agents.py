@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import (all_finite, at_least, feature_matrix, finite,
+                     nonnegative_finite, positive_finite, strictly_inside_unit)
 from .pool import RewardPool, build_pool, variance_floor_threshold
 
 
@@ -41,16 +43,9 @@ class PoolParams:
     auto_ridge: bool = False
 
     def __post_init__(self) -> None:
-        # Written as range tests so that NaN, which fails every comparison,
-        # is rejected along with the out-of-range values.
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(
-                f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 < self.z < 1.0:
-            raise ValueError(f"z must lie strictly inside (0, 1), got {self.z}")
-        if not 0.0 <= self.ridge_lambda < math.inf:
-            raise ValueError(
-                f"ridge_lambda must be >= 0 and finite, got {self.ridge_lambda}")
+        positive_finite("alpha", self.alpha)
+        strictly_inside_unit("z", self.z)
+        nonnegative_finite("ridge_lambda", self.ridge_lambda)
 
 
 def init_length(horizon: int, z: float, dims: int) -> int:
@@ -61,8 +56,7 @@ def init_length(horizon: int, z: float, dims: int) -> int:
     ``z/2`` fraction of the true variance with high probability.
     """
     threshold = variance_floor_threshold(horizon, z)
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
+    at_least("dims", dims, 1)
     return max(dims, math.ceil(threshold))
 
 
@@ -113,8 +107,7 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
     LAPACK work; calling LAPACK directly runs the same routines on the same
     arrays, so results are bit-identical.
     """
-    if not np.isfinite(gram).all():
-        raise ValueError("gram matrix must be finite")
+    all_finite("gram matrix", gram)
     factor, info = _lapack().dpotrf(gram, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -125,8 +118,7 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
 
 def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``gram @ x = rhs`` (1-D or one column per system) from a factor."""
-    if not np.isfinite(rhs).all():
-        raise ValueError("right-hand side must be finite")
+    all_finite("right-hand side", rhs)
     # A non-zero info from potrs flags only an illegal argument, and the
     # wrapper already rejects a malformed one with its own exception.
     solution, _ = _lapack().dpotrs(factor, rhs, lower=1)
@@ -161,8 +153,7 @@ class Agent:
     def __init__(self, n_arms: int, horizon: int) -> None:
         if n_arms < 1:
             raise ValueError(f"need at least one arm, got {n_arms}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        at_least("horizon", horizon, 1)
         self.n_arms = int(n_arms)
         self.horizon = int(horizon)
         self._pending: tuple[int, object] | None = None
@@ -193,9 +184,9 @@ class Agent:
     def _check_feedback(self, t: int, arm: int, reward) -> float:
         """The reward as a float; ``ValueError`` unless it is finite."""
         reward = float(reward)
+        # Tested here so that the message is built only for a bad reward.
         if not math.isfinite(reward):
-            raise ValueError(
-                f"reward for round {t}, arm {arm} must be finite, got {reward}")
+            finite(f"reward for round {t}, arm {arm}", reward)
         return reward
 
     def _choose(self, t: int):
@@ -301,17 +292,14 @@ class LinearModelState:
     to ``gram`` once, before the first fit.  No observation is stored."""
 
     def __init__(self, dim: int) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        at_least("dim", dim, 1)
         self.dim = dim
         self.ridge_lambda: float | None = None
         self.gram = np.zeros((dim, dim))
         self.xy_sum = np.zeros(dim)
 
     def regularize(self, ridge_lambda: float) -> None:
-        if not 0.0 <= ridge_lambda < math.inf:
-            raise ValueError(
-                f"ridge_lambda must be >= 0 and finite, got {ridge_lambda}")
+        nonnegative_finite("ridge_lambda", ridge_lambda)
         self.ridge_lambda = float(ridge_lambda)
         self.gram += ridge_lambda * np.eye(self.dim)
 
@@ -328,19 +316,13 @@ class _LinearAgent(Agent):
 
     def __init__(self, features: np.ndarray, horizon: int,
                  ridge_lambda: float | None = None) -> None:
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a (K, d) matrix")
-        if not np.isfinite(features).all():
-            raise ValueError("features must be finite")
+        features = feature_matrix(features)
         super().__init__(features.shape[0], horizon)
         self.features = features
         self.dim = features.shape[1]
         self.state = LinearModelState(self.dim)
         if ridge_lambda is not None:
-            if not 0.0 < ridge_lambda < math.inf:
-                raise ValueError(
-                    f"ridge_lambda must be positive and finite, got {ridge_lambda}")
+            positive_finite("ridge_lambda", ridge_lambda)
             self.state.regularize(ridge_lambda)
 
     def _learn(self, t: int, arm: int, reward: float) -> None:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ._rules import finite, nonnegative_finite, positive_finite
 from .agents import (
     LinearModelState,
     _ArmStatsAgent,
@@ -109,9 +110,7 @@ class UCBVAgent(_OptimisticAgent):
 
     def __init__(self, n_arms: int, horizon: int, range_bound: float = 1.0) -> None:
         super().__init__(n_arms, horizon)
-        if not 0.0 < range_bound < math.inf:
-            raise ValueError(
-                f"range_bound must be positive and finite, got {range_bound}")
+        positive_finite("range_bound", range_bound)
         self.range_bound = float(range_bound)
         self._sumsq = np.zeros(n_arms, dtype=float)
 
@@ -160,10 +159,8 @@ class GaussianTSAgent(_ArmStatsAgent):
                  prior_mean: float = 0.5,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
-        if not math.isfinite(prior_mean):
-            raise ValueError(f"prior_mean must be finite, got {prior_mean}")
+        positive_finite("sigma", sigma)
+        finite("prior_mean", prior_mean)
         self.sigma = float(sigma)
         self.prior_mean = float(prior_mean)
         self.rng = rng if rng is not None else np.random.default_rng()
@@ -181,9 +178,7 @@ class _PHEAgent(_ArmStatsAgent):
     def __init__(self, n_arms: int, horizon: int, a: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
-        if not 0.0 < a < math.inf:
-            raise ValueError(
-                f"perturbation scale a must be positive and finite, got {a}")
+        positive_finite("perturbation scale a", a)
         self.a = float(a)
         self.rng = rng if rng is not None else np.random.default_rng()
 
@@ -241,8 +236,7 @@ class LinUCBAgent(_LinearAgent):
     def __init__(self, features: np.ndarray, horizon: int, width: float = 1.0,
                  ridge_lambda: float = 1.0) -> None:
         super().__init__(features, horizon, ridge_lambda)
-        if not 0.0 <= width < math.inf:
-            raise ValueError(f"width must be >= 0 and finite, got {width}")
+        nonnegative_finite("width", width)
         self.width = float(width)
 
     def _scores(self, t: int) -> np.ndarray:
@@ -254,8 +248,7 @@ class LinTSAgent(_LinearAgent):
                  ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon, ridge_lambda)
-        if not 0.0 <= sigma_ts < math.inf:
-            raise ValueError(f"sigma_ts must be >= 0 and finite, got {sigma_ts}")
+        nonnegative_finite("sigma_ts", sigma_ts)
         self.sigma_ts = float(sigma_ts)
         self.rng = rng if rng is not None else np.random.default_rng()
 
@@ -272,9 +265,7 @@ class LinPHEAgent(_PerturbedHistory, _LinearAgent):
                  pseudo_family: str = "bernoulli", ridge_lambda: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(features, horizon, ridge_lambda)
-        if not 0.0 < a < math.inf:
-            raise ValueError(
-                f"perturbation scale a must be positive and finite, got {a}")
+        positive_finite("perturbation scale a", a)
         if pseudo_family not in ("bernoulli", "gaussian"):
             raise ValueError(f"unknown pseudo reward family {pseudo_family!r}")
         self.a = float(a)

@@ -6,12 +6,13 @@ runs; all sampling goes through a caller-owned ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from ._rules import all_finite, feature_matrix, finite
 
 FAMILIES = ("bernoulli", "beta", "gaussian")
 
@@ -32,10 +33,8 @@ def _check_family(family: str, means: np.ndarray, v: float, sigma: float) -> Non
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     if not _in_unit_interval(means):
         raise ValueError("mean rewards must lie in [0, 1]")
-    if not math.isfinite(v):
-        raise ValueError(f"beta concentration v must be finite, got {v}")
-    if not math.isfinite(sigma):
-        raise ValueError(f"gaussian reward std sigma must be finite, got {sigma}")
+    finite("beta concentration v", v)
+    finite("gaussian reward std sigma", sigma)
     if family == "beta":
         if v <= 0:
             raise ValueError(f"beta concentration v must be positive, got {v}")
@@ -118,17 +117,12 @@ class LinearInstance(_ArmInstance):
     sigma: float = DEFAULT_GAUSSIAN_STD
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
+        object.__setattr__(self, "features", feature_matrix(self.features))
         object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
-        if self.features.ndim != 2:
-            raise ValueError("features must be a (K, d) matrix")
         k, d = self.features.shape
         if self.theta_star.shape != (d,):
             raise ValueError("theta_star dimension must match the features")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features must be finite")
-        if not np.isfinite(self.theta_star).all():
-            raise ValueError("theta_star must be finite")
+        all_finite("theta_star", self.theta_star)
         if k < d or d < 1:
             raise ValueError(f"need K >= d >= 1, got K={k}, d={d}")
         means = self.mean_rewards()

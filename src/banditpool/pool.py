@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import at_least, positive_finite, strictly_inside_unit
+
 
 @dataclass(frozen=True, eq=False)
 class RewardPool:
@@ -46,8 +48,7 @@ class RewardPool:
         """
         if self.values.size == 0:
             raise ValueError("cannot draw from an empty pool")
-        if count < 0:
-            raise ValueError(f"draw count must be >= 0, got {count}")
+        at_least("draw count", count, 0)
         idx = rng.integers(0, self.values.size, size=count)
         return self.values.take(idx)
 
@@ -71,8 +72,7 @@ def build_pool(rewards, alpha: float) -> RewardPool:
         r = r.ravel()
     if r.size == 0:
         raise ValueError("cannot build a reward pool from an empty history")
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    positive_finite("alpha", alpha)
     # The pairwise sum ``r.mean()`` takes, without its wrapper code; the
     # centred values go straight into the result, with no temporaries.
     mean = float(np.add.reduce(r)) / r.size
@@ -89,8 +89,6 @@ def variance_floor_threshold(horizon: int, z: float) -> float:
     pool variance stays above ``alpha^2 z sigma^2 / 2`` with high probability.
     ``ValueError`` names ``horizon`` below 1 or ``z`` outside (0, 1), where
     the denominator is positive."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"z must lie strictly inside (0, 1), got {z}")
+    at_least("horizon", horizon, 1)
+    strictly_inside_unit("z", z)
     return 4.0 * math.log(horizon) / (z - 1.0 - math.log(z)) + 1.0

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ._rules import at_least
 from .agents import Agent, PoolParams, RewardPoolAgent, _ArmStatsAgent
 from .baselines import BernoulliPHEAgent, BernoulliTSAgent
 
@@ -38,8 +39,7 @@ def kl_bernoulli(p: float, q: float) -> float:
 
 def exploration_budget(t: int) -> float:
     """KL budget ``ln t + 3 ln ln t`` (log-log term clamped below t = 3)."""
-    if t < 1:
-        raise ValueError(f"round must be >= 1, got {t}")
+    at_least("round", t, 1)
     log_t = math.log(t)
     return log_t + 3.0 * math.log(max(log_t, 1.0))
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rules import (all_finite, at_least, finite, nonnegative_finite,
+                     positive_finite)
 from .pool import build_pool, variance_floor_threshold
 
 
@@ -45,9 +47,8 @@ def pool_check_bound(horizon: int, trials: int) -> float:
 
     Raises ``ValueError`` naming ``horizon`` or ``trials`` below 1.
     """
-    for field, value in (("horizon", horizon), ("trials", trials)):
-        if value < 1:
-            raise ValueError(f"{field} must be >= 1, got {value}")
+    at_least("horizon", horizon, 1)
+    at_least("trials", trials, 1)
     rate = 1.0 / horizon
     return rate + 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
 
@@ -65,6 +66,11 @@ def _prefix_moments(rewards: np.ndarray):
 def _rounding_margin(scale, k, mean_sq, peak):
     """``8 (scale g (mean_sq + peak sqrt(mean_sq) + g peak^2) + (k + 4) tiny)``
     with ``g = (k + 4) eps``, elementwise.
+
+    With ``scale = alpha^2`` and a prefix's length, mean squared shifted
+    reward and largest ``|reward|``, it bounds the rounding error of the
+    prefix's fast pool variance and ``build_pool`` value together, even when
+    every sum runs sequentially.
 
     Each step adds, multiplies or takes the root of non-negative operands,
     and rounding to nearest keeps order, so raising any argument never lowers
@@ -85,42 +91,18 @@ def _largest_margin(scale, mean_sq: np.ndarray, rewards: np.ndarray):
                             float(np.abs(rewards).max()))
 
 
-def _prefix_pool_variances(rewards: np.ndarray,
-                           alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pool variance of every prefix of ``rewards``, with a rounding margin.
-
-    Entry ``k - 1`` of the first array is ``alpha^2`` times the population
-    variance of ``rewards[:k]``, the value ``build_pool(rewards[:k],
-    alpha).variance()`` takes in exact arithmetic.  It comes from cumulative
-    sums of the rewards and of their squares after shifting every reward by
-    ``rewards[0]``, which removes a common offset before anything is squared.
-
-    Entry ``k - 1`` of the second array is a rounding margin: eight times
-    ``alpha^2 g (M2 + R sqrt(M2) + g R^2)``, with ``g = (k + 4) eps``, ``M2``
-    the mean squared shifted reward and ``R`` the largest ``|reward|`` of the
-    prefix, plus an allowance for underflow.  It bounds the rounding error of
-    this value and of the ``build_pool`` value together, even when every sum
-    runs sequentially, so a floor lying outside the margin compares the same
-    way against both.
-    """
-    k, mean, mean_sq = _prefix_moments(rewards)
-    scale = alpha * alpha
-    peak = np.maximum.accumulate(np.abs(rewards))
-    return (scale * (mean_sq - mean * mean),
-            _rounding_margin(scale, k, mean_sq, peak))
-
-
 def _violates_floor(rewards: np.ndarray, alpha: float, floor: float,
                     first_round: int) -> bool:
     """Whether ``build_pool(rewards[:t - 1], alpha).variance() < floor`` at
     some round ``t`` in ``first_round .. len(rewards)``.
 
-    Takes the fast variance of every prefix as :func:`_prefix_pool_variances`
-    does.  When the lowest checked one clears the floor by more than
-    :func:`_largest_margin`, no round can be near the floor or below it, and
-    the answer is ``False``.  Otherwise each round is decided against its own
-    rounding margin, and only rounds within it rebuild the pool, so the
-    answer is the one the per-round rebuild gives.
+    Takes the fast pool variance of every prefix, its ``build_pool`` value in
+    exact arithmetic, from :func:`_prefix_moments`, whose shift removes a
+    common offset before anything is squared.  When the lowest checked one
+    clears the floor by more than :func:`_largest_margin`, no round can be
+    near the floor or below it, and the answer is ``False``.  Otherwise each
+    round is decided against its own rounding margin, and only rounds within
+    it rebuild the pool, so the answer is the one the per-round rebuild gives.
     """
     start = first_round - 1  # length of the shortest prefix checked
     if rewards.size - 1 < start:
@@ -161,10 +143,8 @@ def _pool_trials(horizon: int, trials: int, alpha: float, sigma: float,
     if first_round > horizon:
         raise ValueError(f"horizon {horizon} ends before round {first_round}, "
                          f"the first checked, so no round is checked")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
+    positive_finite("alpha", alpha)
+    nonnegative_finite("sigma", sigma)
     ends = np.asarray(mean_range, dtype=float)
     if ends.shape != (2,) or not -math.inf < ends[0] <= ends[1] < math.inf:
         raise ValueError(f"mean_range must be two finite numbers, low <= high, "
@@ -245,8 +225,7 @@ def check_shifted_ball(transform, shift, radius: float, trials: int = 100_000,
     finite ``d x d`` matrix, ``shift`` a finite vector of length ``d`` and
     ``radius`` positive and finite; anything else raises ``ValueError``.
     """
-    if trials < MIN_MC_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
+    at_least("trials", trials, MIN_MC_TRIALS)
     transform = np.asarray(transform, dtype=float)
     shift = np.asarray(shift, dtype=float)
     if transform.ndim != 2 or transform.shape[0] != transform.shape[1]:
@@ -256,11 +235,9 @@ def check_shifted_ball(transform, shift, radius: float, trials: int = 100_000,
     if shift.shape != (dim,):
         raise ValueError(f"shift must be a vector of length {dim}, got shape "
                          f"{shift.shape}")
-    for field, value in (("transform", transform), ("shift", shift)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{field} must be finite")
-    if not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    all_finite("transform", transform)
+    all_finite("shift", shift)
+    positive_finite("radius", radius)
     rng = rng if rng is not None else np.random.default_rng()
     draws = rng.standard_normal((trials, dim)) @ transform.T
     r2 = radius * radius
@@ -304,22 +281,17 @@ def check_posterior_match(prior_mean: float = 0.5, sigma: float = 0.5,
     A NaN or infinite input, which no moment would match, raises
     ``ValueError``, as do ``pulls < 0`` and ``trials < 2``.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    if pulls < 0:
-        raise ValueError(f"pulls must be >= 0, got {pulls}")
-    if not math.isfinite(prior_mean):
-        raise ValueError(f"prior_mean must be finite, got {prior_mean}")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
+    at_least("trials", trials, 2)
+    at_least("pulls", pulls, 0)
+    finite("prior_mean", prior_mean)
+    nonnegative_finite("sigma", sigma)
     rng = rng if rng is not None else np.random.default_rng()
     if rewards is None:
         rewards = rng.normal(prior_mean, sigma, size=pulls)
     rewards = np.asarray(rewards, dtype=float)
     if rewards.size != pulls:
         raise ValueError("reward history length must equal the pull count")
-    if not np.isfinite(rewards).all():
-        raise ValueError("rewards must be finite")
+    all_finite("rewards", rewards)
     target_mean, target_var = posterior_moments(prior_mean, sigma, rewards)
 
     noise = rng.normal(0.0, sigma, size=(trials, pulls + 1))
@@ -362,13 +334,11 @@ def check_tail_mass(std: float = 1.0, inner: float = 0.5, outer: float = 3.0,
     is asserted (with three standard errors of slack).  ``std`` must be
     positive and finite, ``outer`` finite and ``trials`` at least 1.
     """
-    if not 0.0 < std < math.inf:
-        raise ValueError(f"std must be positive and finite, got {std}")
+    positive_finite("std", std)
     if not 0.0 < inner < outer < math.inf:
         raise ValueError(f"inner and outer must satisfy 0 < inner < outer < inf, "
                          f"got inner={inner}, outer={outer}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    at_least("trials", trials, 1)
     rng = rng if rng is not None else np.random.default_rng()
     var = std * std
     draws = rng.normal(0.0, std, size=trials)
@@ -387,10 +357,8 @@ def validate_battery(seed: int, horizon: int, pool_trials: int,
                      mc_trials: int) -> None:
     """Raise ``ValueError`` naming the field of a :func:`default_checks`
     input that one of its checks would refuse, before any check runs."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if mc_trials < MIN_MC_TRIALS:
-        raise ValueError(f"mc_trials must be >= {MIN_MC_TRIALS}, got {mc_trials}")
+    at_least("seed", seed, 0)
+    at_least("mc_trials", mc_trials, MIN_MC_TRIALS)
     # The floor check's rules, at default_checks' alpha and sigma, include
     # the value-bound check's.
     _pool_trials(horizon, pool_trials, 1.0, 0.5, (0.0, 1.0), None,

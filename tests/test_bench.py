@@ -417,6 +417,53 @@ def test_round_protocol(experiment, kind):
     agent.select(2)
 
 
+BERNOULLI_ENVS = {**TABLE_ENVS,
+                  "mab": {"family": "bernoulli", "K": 4},
+                  "linear": {"family": "bernoulli", "K": 6, "d": 3}}
+# Allocated with np.empty: only the first ``_seen`` entries (none yet) hold
+# data.
+HISTORY_BUFFERS = ("_arms", "_rewards")
+
+
+def assert_same_state(made, plain, where):
+    """``made`` and ``plain`` agree attribute by attribute, generators by
+    type."""
+    assert type(made) is type(plain), where
+    assert vars(made).keys() == vars(plain).keys(), where
+    for name, value in vars(made).items():
+        other, at = vars(plain)[name], f"{where}.{name}"
+        if isinstance(value, np.random.Generator):
+            assert isinstance(other, np.random.Generator), at
+        elif isinstance(value, np.ndarray):
+            assert (value.dtype, value.shape) == (other.dtype, other.shape), at
+            assert name in HISTORY_BUFFERS or np.array_equal(value, other), at
+        elif dataclasses.is_dataclass(value) or not hasattr(value, "__dict__"):
+            assert value == other, at
+        else:
+            assert_same_state(value, other, at)
+
+
+@pytest.mark.parametrize("experiment, kind", list(bench.AGENTS))
+def test_table_defaults_match_the_constructor_defaults(experiment, kind):
+    """A ``make_agent`` agent from an empty section equals one its class
+    builds with no optional argument.  On a Bernoulli env the env-dependent
+    defaults (``ucbv.b``, ``gauss_ts.sigma``, ``linphe.pseudo``) are the
+    constructors' too, so no default has a second owner that disagrees."""
+    horizon = 50
+    config = RunConfig(experiment=experiment, env=BERNOULLI_ENVS[experiment],
+                       agents=(AgentSpec(kind, kind, {}),), horizon=horizon,
+                       instances=1, runs=1, seed=3, out_dir="unused",
+                       stride=horizon)
+    env = make_env(config, 0)
+    made = bench.make_agent(config.agents[0], config, env,
+                            np.random.default_rng(0))
+    required = {"mab": lambda: (env.n_arms, horizon),
+                "linear": lambda: (env.features, horizon),
+                "ranking": lambda: (env.n_items, env.slate_size, horizon)}
+    plain = type(made)(*required[experiment]())
+    assert_same_state(made, plain, kind)
+
+
 def reference_regret_trace(gaps, arms):
     """The loss accounting the MAB and linear loop used before ``env.play``."""
     return np.cumsum(np.asarray(gaps, dtype=float)[np.asarray(arms, dtype=int)])

@@ -14,7 +14,6 @@ from banditpool.pool import build_pool
 from banditpool.theory import (
     MIN_MC_TRIALS,
     CheckReport,
-    _prefix_pool_variances,
     _violates_floor,
     check_posterior_match,
     check_shifted_ball,
@@ -102,6 +101,23 @@ def assert_rounds_decided_like_rebuild(rewards, alpha, floor):
 finite_rewards = st.floats(min_value=-1e12, max_value=1e12,
                            allow_nan=False, allow_infinity=False)
 alphas = st.floats(min_value=0.01, max_value=100.0)
+
+
+def _prefix_pool_variances(rewards, alpha):
+    """Pool variance of every prefix of ``rewards``, with a rounding margin,
+    composed from the two helpers ``theory._violates_floor`` uses.
+
+    Entry ``k - 1`` of the first array is ``alpha^2`` times the population
+    variance of ``rewards[:k]``, from cumulative sums of the rewards and of
+    their squares after shifting every reward by ``rewards[0]``.  Entry
+    ``k - 1`` of the second is ``theory._rounding_margin`` at the prefix's
+    length, mean squared shifted reward and largest ``|reward|``.
+    """
+    k, mean, mean_sq = theory._prefix_moments(rewards)
+    scale = alpha * alpha
+    peak = np.maximum.accumulate(np.abs(rewards))
+    return (scale * (mean_sq - mean * mean),
+            theory._rounding_margin(scale, k, mean_sq, peak))
 
 
 class TestPrefixPoolVariances:
