@@ -40,6 +40,16 @@ def strictly_inside_unit(name: str, value) -> None:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {value}")
 
 
+def slate_fits(slate_size, n_items) -> None:
+    if not 1 <= slate_size <= n_items:
+        raise ValueError(f"slate size must be in [1, {n_items}], got {slate_size}")
+
+
+def arms_cover_dim(n_arms, dim) -> None:
+    if not n_arms >= dim >= 1:
+        raise ValueError(f"need K >= d >= 1, got K={n_arms}, d={dim}")
+
+
 def feature_matrix(features) -> np.ndarray:
     """``features`` as a finite float (K, d) matrix."""
     features = np.asarray(features, dtype=float)

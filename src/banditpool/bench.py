@@ -11,9 +11,9 @@ Configs are INI files with three kinds of sections::
 Every run is reproducible: the run executed for (instance, agent, run) seeds a
 PCG64 generator from ``SeedSequence([seed, 2, instance, digest(agent), run])``
 where ``digest`` is the first 8 bytes of BLAKE2s of the agent name; problem
-instances come from ``SeedSequence([seed, 1, instance])``.  Results are
-aggregated after sorting, so serial and parallel execution produce identical
-files.
+instances come from ``SeedSequence([seed, 1, instance])``.  Runs are
+collected in (agent, instance, run) order, so serial and parallel execution
+produce identical files.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ _RUN_FIELDS = {
     "experiment": (str, REQUIRED), "n": (int, REQUIRED),
     "instances": (int, REQUIRED), "runs": (int, REQUIRED),
     "seed": (int, REQUIRED), "out_dir": (str, REQUIRED),
-    "stride": (int, 10), "workers": (int, 1),
+    "stride": (int, RunConfig.stride), "workers": (int, RunConfig.workers),
 }
 
 
@@ -401,12 +401,8 @@ def execute_run(config: RunConfig, instance: int, spec: AgentSpec,
                      rounds=points, cum_regret=cum[points - 1])
 
 
-def _execute_task(args) -> RunResult:
-    return execute_run(*args)
-
-
 def collect_runs(config: RunConfig) -> list[RunResult]:
-    """Execute every (instance, agent, run) combination, sorted for determinism.
+    """Execute every (agent, instance, run) combination, in that order.
 
     Every instance, and every agent on instance 0 with a throwaway
     generator, are first built once, so a bad env or agent value fails,
@@ -422,21 +418,18 @@ def collect_runs(config: RunConfig) -> list[RunResult]:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    tasks = [(config, instance, spec, run)
-             for instance in range(config.instances)
-             for spec in config.agents
-             for run in range(config.runs)]
+    # Agent-major, the order the results are returned in.
+    specs, instances, runs = zip(*itertools.product(
+        config.agents, range(config.instances), range(config.runs)))
+    columns = ([config] * len(runs), instances, specs, runs)
     if config.workers == 1:
-        results = [_execute_task(task) for task in tasks]
-    else:
-        # Imported here so serial runs, the common case, skip its load time.
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(execute_run, *columns))
+    # Imported here so serial runs, the common case, skip its load time.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_execute_task, tasks, chunksize=1))
-    order = {spec.name: i for i, spec in enumerate(config.agents)}
-    results.sort(key=lambda r: (order[r.agent], r.instance, r.run))
-    return results
+    # Executor.map yields in input order, whatever order the tasks finish in.
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(execute_run, *columns, chunksize=1))
 
 
 def aggregate_results(config: RunConfig, results: list[RunResult]) -> dict:

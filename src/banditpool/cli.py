@@ -10,28 +10,21 @@ from pathlib import Path
 from . import bench, theory
 
 
+# Each override flag, the RunConfig field it sets and the flag's type.
+_OVERRIDES = (("seed", "seed", int), ("out", "out_dir", str),
+              ("workers", "workers", int), ("stride", "stride", int))
+
+
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", help="INI run configuration")
-    parser.add_argument("--seed", type=int, help="override run.seed")
-    parser.add_argument("--out", help="override run.out_dir")
-    parser.add_argument("--workers", type=int, help="override run.workers")
-    parser.add_argument("--stride", type=int, help="override run.stride")
+    for flag, field, kind in _OVERRIDES:
+        parser.add_argument(f"--{flag}", type=kind, help=f"override run.{field}")
 
 
 def _load_config(args) -> bench.RunConfig:
-    config = bench.parse_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.stride is not None:
-        overrides["stride"] = args.stride
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    overrides = {field: getattr(args, flag) for flag, field, _ in _OVERRIDES
+                 if getattr(args, flag) is not None}
+    return dataclasses.replace(bench.parse_config(args.config), **overrides)
 
 
 def _cmd_run(args) -> int:

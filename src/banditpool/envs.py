@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rules import all_finite, feature_matrix, finite
+from ._rules import all_finite, arms_cover_dim, feature_matrix, finite, slate_fits
 
 FAMILIES = ("bernoulli", "beta", "gaussian")
 
@@ -123,8 +123,7 @@ class LinearInstance(_ArmInstance):
         if self.theta_star.shape != (d,):
             raise ValueError("theta_star dimension must match the features")
         all_finite("theta_star", self.theta_star)
-        if k < d or d < 1:
-            raise ValueError(f"need K >= d >= 1, got K={k}, d={d}")
+        arms_cover_dim(k, d)
         means = self.mean_rewards()
         _check_family(self.family, means, self.v, self.sigma)
         if np.linalg.matrix_rank(self.features[-d:]) != d:
@@ -165,9 +164,7 @@ class CascadeInstance:
             raise ValueError("need at least one item")
         if not _in_unit_interval(self.attractions):
             raise ValueError("attraction probabilities must lie in [0, 1]")
-        if not 1 <= self.slate_size <= self.attractions.size:
-            raise ValueError(
-                f"slate size must be in [1, {self.attractions.size}], got {self.slate_size}")
+        slate_fits(self.slate_size, self.attractions.size)
 
     @property
     def n_items(self) -> int:
@@ -245,8 +242,7 @@ def generate_linear(n_arms: int, dim: int, family: str, rng: np.random.Generator
     exactly linear in ``dim`` dimensions.  Resamples until the trailing
     ``dim`` feature rows form a basis.
     """
-    if not n_arms >= dim >= 1:
-        raise ValueError(f"need K >= d >= 1, got K={n_arms}, d={dim}")
+    arms_cover_dim(n_arms, dim)
     for _ in range(LINEAR_MAX_TRIES):
         if dim == 1:
             # No room for a constant coordinate: put the target means into

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._rules import at_least
+from ._rules import at_least, slate_fits
 from .agents import Agent, PoolParams, RewardPoolAgent, _ArmStatsAgent
 from .baselines import BernoulliPHEAgent, BernoulliTSAgent
 
@@ -126,9 +126,7 @@ class RankerPolicy(Agent):
     items: Agent
 
     def __init__(self, n_items: int, slate_size: int, horizon: int) -> None:
-        if not 1 <= slate_size <= n_items:
-            raise ValueError(
-                f"slate size must be in [1, {n_items}], got {slate_size}")
+        slate_fits(slate_size, n_items)
         super().__init__(n_items, horizon)
         self.n_items = n_items
         self.slate_size = slate_size

@@ -85,10 +85,13 @@ def _rounding_margin(scale, k, mean_sq, peak):
 def _largest_margin(scale, mean_sq: np.ndarray, rewards: np.ndarray):
     """At least every :func:`_rounding_margin` of the prefixes of ``rewards``
     whose mean squares are among ``mean_sq``: the margin at the largest
-    prefix length, mean square and ``|reward|``.  ``NaN`` or ``inf`` when a
-    reward is not finite."""
-    return _rounding_margin(scale, float(rewards.size), float(mean_sq.max()),
-                            float(np.abs(rewards).max()))
+    prefix length, mean square and ``|reward|``.  ``inf`` when a reward is not
+    finite or a rebuilt pool's sum of squares, at most ``8 n scale peak^2``,
+    could overflow, which no margin would cover."""
+    size, peak = float(rewards.size), float(np.abs(rewards).max())
+    if not math.isfinite(16.0 * size * scale * peak * peak):
+        return math.inf
+    return _rounding_margin(scale, size, float(mean_sq.max()), peak)
 
 
 def _violates_floor(rewards: np.ndarray, alpha: float, floor: float,
@@ -98,30 +101,28 @@ def _violates_floor(rewards: np.ndarray, alpha: float, floor: float,
 
     Takes the fast pool variance of every prefix, its ``build_pool`` value in
     exact arithmetic, from :func:`_prefix_moments`, whose shift removes a
-    common offset before anything is squared.  When the lowest checked one
-    clears the floor by more than :func:`_largest_margin`, no round can be
-    near the floor or below it, and the answer is ``False``.  Otherwise each
-    round is decided against its own rounding margin, and only rounds within
-    it rebuild the pool, so the answer is the one the per-round rebuild gives.
+    common offset before anything is squared.  Their gaps to the floor are
+    decided on one bound, :func:`_largest_margin`, at least every checked
+    round's own rounding margin: all gaps above it give ``False``, the lowest
+    below minus it gives ``True``, and otherwise the rounds whose gap is not
+    outside it, ``NaN`` included, rebuild the pool, so the answer is the one
+    the per-round rebuild gives.
     """
     start = first_round - 1  # length of the shortest prefix checked
     if rewards.size - 1 < start:
         return False
     head = rewards[:-1]
-    k, mean, mean_sq = _prefix_moments(head)
-    checked = slice(start - 1, None)
-    mean, mean_sq = mean[checked], mean_sq[checked]
+    _, mean, mean_sq = _prefix_moments(head)
+    mean, mean_sq = mean[start - 1:], mean_sq[start - 1:]
     scale = alpha * alpha
-    variances = scale * (mean_sq - mean * mean)
-    if variances.min() - floor > _largest_margin(scale, mean_sq, head):
+    gap = scale * (mean_sq - mean * mean) - floor
+    bound = _largest_margin(scale, mean_sq, head)
+    if (lowest := gap.min()) > bound:
         return False
-    peak = np.maximum.accumulate(np.abs(head))[checked]
-    gap = variances - floor
-    near = np.abs(gap) <= _rounding_margin(scale, k[checked], mean_sq, peak)
-    if bool(np.any(gap[~near] < 0.0)):
+    if lowest < -bound:
         return True
     return any(build_pool(rewards[:length], alpha).variance() < floor
-               for length in np.flatnonzero(near) + start)
+               for length in np.flatnonzero(~(np.abs(gap) > bound)) + start)
 
 
 def first_checked_round(horizon: int, z: float) -> int:
@@ -169,11 +170,11 @@ def check_variance_floor(horizon: int = 1000, z: float = 0.6, alpha: float = 1.0
     ``ValueError`` names the field of an input the check cannot test.
 
     Each trial takes the pool variance of all its prefixes from cumulative
-    sums, O(horizon) per trial, and passes at once when all of them clear the
-    floor by more than one bound on every round's rounding margin.  In any
-    other trial, a round whose value lies within its margin of the floor is
-    re-decided by building that pool, so the failure count equals the one a
-    pool rebuild at every round gives, for any input.
+    sums, O(horizon) per trial, and is decided on one bound on every round's
+    rounding margin: it passes when all clear the floor by more than the
+    bound, fails when one falls short of it by more than the bound, and
+    otherwise rebuilds the pools of the rounds within the bound, so for any
+    input the failure count is the one a pool rebuild at every round gives.
     """
     first_round = first_checked_round(horizon, z)
     bound, streams = _pool_trials(horizon, trials, alpha, sigma, mean_range,

@@ -704,6 +704,32 @@ class TestCli:
             rows = list(csv.reader(handle))
         assert len(rows) - 1 == 2 * (120 // 20)
 
+    @pytest.mark.parametrize("flags, field, value", [
+        ([], None, None),
+        (["--seed", "7"], "seed", 7),
+        (["--out", "elsewhere"], "out_dir", "elsewhere"),
+        (["--workers", "2"], "workers", 2),
+        (["--stride", "20"], "stride", 20),
+    ], ids=["none", "seed", "out", "workers", "stride"])
+    def test_each_override_sets_only_its_field(self, tmp_path, monkeypatch,
+                                               flags, field, value):
+        """The run gets the config file's values, with only the flag's
+        field replaced by the flag's value."""
+        path = write_config(tmp_path)
+        ran = []
+
+        def run_experiment(config):
+            ran.append(config)
+            return {"aggregates": {}, "trace": "t", "aggregate": "a"}
+
+        monkeypatch.setattr(bench, "run_experiment", run_experiment)
+        assert cli.main(["run", str(path), *flags]) == 0
+        want = bench.parse_config(path)
+        if field is not None:
+            assert getattr(want, field) != value
+            want = dataclasses.replace(want, **{field: value})
+        assert ran == [want]
+
     def test_sweep_command(self, tmp_path, capsys):
         path = write_config(tmp_path, sweep=["alpha = 0.5,0.7", "z = 0.6"])
         assert cli.main(["sweep", str(path)]) == 0

@@ -38,6 +38,7 @@ from banditpool.envs import (
     CascadeInstance,
     LinearInstance,
     MabInstance,
+    generate_linear,
     load_cascade_file,
 )
 from banditpool.pool import build_pool, variance_floor_threshold
@@ -227,6 +228,7 @@ def test_linear_agent_features(cls):
      lambda: LinTSAgent(FEATURES, 10, sigma_ts=-1.0)),
     # ranking
     ("round must be >= 1, got 0", lambda: exploration_budget(0)),
+    ("slate size must be in [1, 3], got 4", lambda: BernoulliPHERanker(3, 4, 10)),
     # envs
     ("gaussian reward std sigma must be finite, got inf",
      lambda: MabInstance(means=[0.2, 0.5], family="gaussian", sigma=INF)),
@@ -236,6 +238,12 @@ def test_linear_agent_features(cls):
      lambda: LinearInstance(np.ones(2), [0.5, 0.5], "bernoulli")),
     ("theta_star dimension must match the features",
      lambda: LinearInstance(FEATURES, [0.5, 0.5, 0.5], "bernoulli")),
+    ("need K >= d >= 1, got K=1, d=2",
+     lambda: LinearInstance(FEATURES[:1], [0.5, 0.5], "bernoulli")),
+    ("need K >= d >= 1, got K=2, d=3",
+     lambda: generate_linear(2, 3, "bernoulli", np.random.default_rng(0))),
+    ("slate size must be in [1, 2], got 0",
+     lambda: CascadeInstance(np.array([0.5, 0.2]), 0)),
 ], ids=["pool-alpha-zero", "pool-z-one", "pool-lambda-negative",
         "init_length-horizon", "init_length-z", "init_length-dims",
         "agent-horizon", "linear-state-dim",
@@ -250,8 +258,10 @@ def test_linear_agent_features(cls):
         "battery-mc_trials", "ucbv-range_bound-zero",
         "gauss_ts-sigma-negative", "bern_phe-a-zero", "linphe-a-negative",
         "linucb-width-inf", "lints-sigma_ts-negative",
-        "exploration_budget-round", "mab-sigma-inf", "linear-v-nan",
-        "linear-features-shape", "linear-theta-shape"])
+        "exploration_budget-round", "ranker-slate-size", "mab-sigma-inf",
+        "linear-v-nan", "linear-features-shape", "linear-theta-shape",
+        "linear-arms-below-dim", "generate-linear-arms-below-dim",
+        "cascade-slate-size"])
 def test_rule_messages(message, build):
     raises_exactly(message, build)
 
@@ -259,7 +269,8 @@ def test_rule_messages(message, build):
 RULE_TEMPLATES = ("must be positive and finite, got",
                   "must be >= 0 and finite, got", "must be finite",
                   "must lie strictly inside (0, 1), got",
-                  "features must be a (K, d) matrix")
+                  "features must be a (K, d) matrix",
+                  "slate size must be in [1, ", "need K >= d >= 1, got")
 
 
 @pytest.mark.parametrize("template", RULE_TEMPLATES)

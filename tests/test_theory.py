@@ -236,6 +236,34 @@ class TestFloorDecision:
             for f in (floor, np.nextafter(floor, 0.0), np.nextafter(floor, np.inf)):
                 assert_rounds_decided_like_rebuild(rewards, alpha, f)
 
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(st.floats(min_value=-1e160, max_value=1e160), min_size=2,
+                    max_size=40), alphas, st.data())
+    def test_decision_equals_rebuild_at_every_round(self, rewards, alpha, data):
+        """Rewards up to 1e160, whose prefix squares overflow and make the
+        screen's bound infinite, and a floor at a rebuilt pool variance, one
+        ulp either side of it, or at random."""
+        rewards = np.array(rewards)
+        first_round = data.draw(st.integers(2, rewards.size + 1))
+        k = data.draw(st.integers(1, rewards.size - 1))
+        with np.errstate(all="ignore"):
+            rebuilt = build_pool(rewards[:k], alpha).variance()
+            floor = data.draw(st.sampled_from(
+                [rebuilt, np.nextafter(rebuilt, 0.0),
+                 np.nextafter(rebuilt, np.inf)]) | st.floats(min_value=0.0))
+            assert (_violates_floor(rewards, alpha, floor, first_round)
+                    == rebuild_violates(rewards, alpha, floor, first_round))
+
+    def test_rebuild_that_overflows_decides_the_round(self):
+        """At alpha 2 the pool of +-5e153 has a sum of squares past the
+        largest float, so its rebuilt variance is inf, while the prefix sums
+        and their rounding margin stay finite: the rebuild decides."""
+        rewards = np.array([5e153, -5e153, 0.0])
+        with np.errstate(over="ignore"):
+            assert build_pool(rewards[:2], 2.0).variance() == math.inf
+            for floor in (1.5e308, math.inf):
+                assert not _violates_floor(rewards, 2.0, floor, 3)
+
     def test_random_streams_and_floors(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
