@@ -38,6 +38,7 @@ class CheckReport:
 
 MIN_MC_TRIALS = 10_000  # the fewest draws check_shifted_ball accepts
 FLOOR_Z = 0.6  # the z of default_checks' variance-floor check
+_MC_BLOCK = 8192  # the most rows a Monte Carlo check draws at a time
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
@@ -51,6 +52,17 @@ def pool_check_bound(horizon: int, trials: int) -> float:
     at_least("trials", trials, 1)
     rate = 1.0 / horizon
     return rate + 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
+
+
+def _blocks(trials: int):
+    """Consecutive ``(start, stop)`` row ranges of at most ``_MC_BLOCK`` rows
+    that cover ``0 .. trials``.
+
+    The generator fills each draw one normal after another, so drawing the
+    blocks in order consumes the stream exactly as one draw of every row.
+    """
+    for start in range(0, trials, _MC_BLOCK):
+        yield start, min(start + _MC_BLOCK, trials)
 
 
 def _prefix_moments(rewards: np.ndarray):
@@ -225,6 +237,10 @@ def check_shifted_ball(transform, shift, radius: float, trials: int = 100_000,
     shifted mass beyond three combined standard errors.  ``transform`` is a
     finite ``d x d`` matrix, ``shift`` a finite vector of length ``d`` and
     ``radius`` positive and finite; anything else raises ``ValueError``.
+
+    The draws are made and counted in blocks of at most ``_MC_BLOCK`` rows,
+    so memory does not grow with ``trials``; each row's arithmetic, and so
+    the report, is the one a single draw of every row gives.
     """
     at_least("trials", trials, MIN_MC_TRIALS)
     transform = np.asarray(transform, dtype=float)
@@ -240,20 +256,23 @@ def check_shifted_ball(transform, shift, radius: float, trials: int = 100_000,
     all_finite("shift", shift)
     positive_finite("radius", radius)
     rng = rng if rng is not None else np.random.default_rng()
-    draws = rng.standard_normal((trials, dim)) @ transform.T
     r2 = radius * radius
-    in_center = np.sum(draws * draws, axis=1) <= r2
-    shifted = draws + shift
-    in_shifted = np.sum(shifted * shifted, axis=1) <= r2
-    p_center = float(in_center.mean())
-    p_shifted = float(in_shifted.mean())
+    n_center = n_shifted = 0
+    for start, stop in _blocks(trials):
+        draws = rng.standard_normal((stop - start, dim)) @ transform.T
+        n_center += int(np.count_nonzero(np.sum(draws * draws, axis=1) <= r2))
+        shifted = draws + shift
+        n_shifted += int(np.count_nonzero(
+            np.sum(shifted * shifted, axis=1) <= r2))
+    p_center = n_center / trials
+    p_shifted = n_shifted / trials
     se = math.sqrt(p_center * (1.0 - p_center) / trials
                    + p_shifted * (1.0 - p_shifted) / trials)
     excess = p_shifted - p_center
     return CheckReport(
         check="shifted_gaussian_ball",
         params=f"d={dim} radius={radius}",
-        trials=trials, failures=max(0, int(in_shifted.sum() - in_center.sum())),
+        trials=trials, failures=max(0, n_shifted - n_center),
         bound=3.0 * se, empirical=excess, passed=excess <= 3.0 * se)
 
 
@@ -281,6 +300,10 @@ def check_posterior_match(prior_mean: float = 0.5, sigma: float = 0.5,
     empirical moments must land within four standard errors of the targets.
     A NaN or infinite input, which no moment would match, raises
     ``ValueError``, as do ``pulls < 0`` and ``trials < 2``.
+
+    The noise is drawn in blocks of at most ``_MC_BLOCK`` rows into one
+    vector of ``trials`` samples, whose mean and variance are the ones a
+    single draw of every row gives, bit for bit.
     """
     at_least("trials", trials, 2)
     at_least("pulls", pulls, 0)
@@ -295,8 +318,11 @@ def check_posterior_match(prior_mean: float = 0.5, sigma: float = 0.5,
     all_finite("rewards", rewards)
     target_mean, target_var = posterior_moments(prior_mean, sigma, rewards)
 
-    noise = rng.normal(0.0, sigma, size=(trials, pulls + 1))
-    samples = (prior_mean + rewards.sum() + noise.sum(axis=1)) / (pulls + 1)
+    offset = prior_mean + rewards.sum()
+    samples = np.empty(trials)
+    for start, stop in _blocks(trials):
+        noise = rng.normal(0.0, sigma, size=(stop - start, pulls + 1))
+        samples[start:stop] = (offset + noise.sum(axis=1)) / (pulls + 1)
     emp_mean = float(samples.mean())
     emp_var = float(samples.var(ddof=1))
 
@@ -333,7 +359,8 @@ def check_tail_mass(std: float = 1.0, inner: float = 0.5, outer: float = 3.0,
 
     The constants are loose by construction, so only the inequality direction
     is asserted (with three standard errors of slack).  ``std`` must be
-    positive and finite, ``outer`` finite and ``trials`` at least 1.
+    positive and finite, ``outer`` finite and ``trials`` at least 1.  The
+    draws are made and counted in blocks of at most ``_MC_BLOCK`` draws.
     """
     positive_finite("std", std)
     if not 0.0 < inner < outer < math.inf:
@@ -342,8 +369,11 @@ def check_tail_mass(std: float = 1.0, inner: float = 0.5, outer: float = 3.0,
     at_least("trials", trials, 1)
     rng = rng if rng is not None else np.random.default_rng()
     var = std * std
-    draws = rng.normal(0.0, std, size=trials)
-    p_tail = float((np.abs(draws) > inner).mean())
+    hits = 0
+    for start, stop in _blocks(trials):
+        draws = rng.normal(0.0, std, size=stop - start)
+        hits += int(np.count_nonzero(np.abs(draws) > inner))
+    p_tail = hits / trials
     lower = (var - inner * inner
              - 4.0 * var * math.exp(-outer * outer / (2.0 * var))) / (outer * outer)
     se = math.sqrt(max(p_tail * (1.0 - p_tail), 1e-12) / trials)

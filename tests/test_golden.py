@@ -1,4 +1,5 @@
-"""Golden-output gate: SHA-256 of the trace and aggregate CSVs of small runs.
+"""Golden-output gate: SHA-256 of the trace and aggregate CSVs of small runs,
+and of the ``check_report.csv`` of the theory check battery.
 
 One config per experiment runs every agent kind ``make_agent`` accepts for
 it (n = 2000, 2 instances, fixed seed); the MAB agents also run on the
@@ -18,6 +19,11 @@ linear pool agent, LinTS and LinPHE by rounding only; that change followed
 the protocol in ``tests/test_scores_hash.py``, and the ``linear`` pair here
 kept its recorded value, because every linear kind still played the same
 arms in these episodes.
+
+The check-report hashes were recorded at commit 5741698, where each Monte
+Carlo check still drew all of its trials in one array, and hold for the
+blocked draws that followed.  The second input's ``mc_trials`` is a count no
+block size divides.
 """
 
 import hashlib
@@ -25,6 +31,7 @@ import hashlib
 import pytest
 
 from banditpool.bench import AgentSpec, RunConfig, run_experiment
+from banditpool.theory import default_checks, write_check_report
 
 SEED = 20260
 HORIZON = 2000
@@ -96,3 +103,17 @@ def test_csv_hashes_unchanged(experiment, tmp_path):
 def test_mab_family_hashes_unchanged(family, tmp_path):
     env = {**ENVS["mab"], "family": family}
     assert digests("mab", tmp_path, env) == MAB_FAMILY_GOLDEN[family]
+
+CHECK_REPORT_GOLDEN = [
+    (dict(seed=0),
+     "5a59aed9e21874a619525460e717cb0395d76932c8d4be35c41ba07be309a4a5"),
+    (dict(seed=3, pool_trials=200, mc_trials=123_457),
+     "cc823fa569d1150a09ce19c13eda2cfaaaf42ea9798eece00f9b64a240dcc4e4"),
+]
+
+
+@pytest.mark.parametrize("kwargs, expected", CHECK_REPORT_GOLDEN)
+def test_check_report_hash_unchanged(kwargs, expected, tmp_path):
+    path = tmp_path / "check_report.csv"
+    write_check_report(default_checks(**kwargs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected

@@ -1,6 +1,7 @@
 """Monte Carlo checks of the pool guarantees on small, fast configurations."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,75 @@ def reference_check_value_bound(horizon: int = 1000, alpha: float = 1.0,
         passed=empirical <= bound)
 
 
+def reference_check_shifted_ball(transform, shift, radius, trials,
+                                 rng) -> CheckReport:
+    """The shifted-ball check with every draw held in one array, which the
+    blocked check must reproduce exactly."""
+    transform = np.asarray(transform, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    dim = transform.shape[0]
+    draws = rng.standard_normal((trials, dim)) @ transform.T
+    r2 = radius * radius
+    in_center = np.sum(draws * draws, axis=1) <= r2
+    shifted = draws + shift
+    in_shifted = np.sum(shifted * shifted, axis=1) <= r2
+    p_center = float(in_center.mean())
+    p_shifted = float(in_shifted.mean())
+    se = math.sqrt(p_center * (1.0 - p_center) / trials
+                   + p_shifted * (1.0 - p_shifted) / trials)
+    excess = p_shifted - p_center
+    return CheckReport(
+        check="shifted_gaussian_ball",
+        params=f"d={dim} radius={radius}",
+        trials=trials, failures=max(0, int(in_shifted.sum() - in_center.sum())),
+        bound=3.0 * se, empirical=excess, passed=excess <= 3.0 * se)
+
+
+def reference_check_posterior_match(prior_mean, sigma, pulls, trials,
+                                    rng) -> CheckReport:
+    """The posterior-match check with all of its noise in one array, which
+    the blocked check must reproduce exactly."""
+    rewards = rng.normal(prior_mean, sigma, size=pulls)
+    target_mean, target_var = posterior_moments(prior_mean, sigma, rewards)
+    noise = rng.normal(0.0, sigma, size=(trials, pulls + 1))
+    samples = (prior_mean + rewards.sum() + noise.sum(axis=1)) / (pulls + 1)
+    emp_mean = float(samples.mean())
+    emp_var = float(samples.var(ddof=1))
+    params = f"prior={prior_mean} sigma={sigma} pulls={pulls}"
+    if sigma == 0.0:
+        tol = 1e-12 * max(1.0, abs(target_mean))
+        deviation = abs(emp_mean - target_mean) + abs(emp_var - target_var)
+        return CheckReport(
+            check="posterior_match", params=params, trials=trials,
+            failures=int(deviation > tol), bound=tol, empirical=deviation,
+            passed=deviation <= tol)
+    se_mean = math.sqrt(target_var / trials)
+    se_var = target_var * math.sqrt(2.0 / (trials - 1))
+    dev_mean = abs(emp_mean - target_mean) / se_mean
+    dev_var = abs(emp_var - target_var) / se_var
+    failures = int(dev_mean > 4.0) + int(dev_var > 4.0)
+    return CheckReport(
+        check="posterior_match", params=params, trials=trials,
+        failures=failures, bound=4.0,
+        empirical=float(max(dev_mean, dev_var)), passed=failures == 0)
+
+
+def reference_check_tail_mass(std, inner, outer, trials, rng) -> CheckReport:
+    """The tail-mass check with every draw held in one array, which the
+    blocked check must reproduce exactly."""
+    var = std * std
+    draws = rng.normal(0.0, std, size=trials)
+    p_tail = float((np.abs(draws) > inner).mean())
+    lower = (var - inner * inner
+             - 4.0 * var * math.exp(-outer * outer / (2.0 * var))) / (outer * outer)
+    se = math.sqrt(max(p_tail * (1.0 - p_tail), 1e-12) / trials)
+    return CheckReport(
+        check="tail_mass_floor",
+        params=f"std={std} inner={inner} outer={outer}",
+        trials=trials, failures=int(p_tail < lower - 3.0 * se), bound=lower,
+        empirical=p_tail, passed=p_tail >= lower - 3.0 * se)
+
+
 class NoDraws:
     """An ``rng`` stand-in that fails the test on any draw."""
 
@@ -104,8 +174,10 @@ alphas = st.floats(min_value=0.01, max_value=100.0)
 
 
 def _prefix_pool_variances(rewards, alpha):
-    """Pool variance of every prefix of ``rewards``, with a rounding margin,
-    composed from the two helpers ``theory._violates_floor`` uses.
+    """Pool variance of every prefix of ``rewards``, with each prefix's own
+    rounding margin, from ``theory._prefix_moments`` and
+    ``theory._rounding_margin``: the per-round margins that the one bound
+    of ``theory._violates_floor`` must cover.
 
     Entry ``k - 1`` of the first array is ``alpha^2`` times the population
     variance of ``rewards[:k]``, from cumulative sums of the rewards and of
@@ -173,8 +245,9 @@ class TestPrefixPoolVariances:
 
 
 class TestFloorScreen:
-    """The screen decides streams far from the floor on one bound and leaves
-    every stream near it to the per-round margins and rebuilds."""
+    """The screen decides streams far from the floor on one bound and
+    rebuilds the pool only at the rounds whose gap to the floor lies within
+    that bound."""
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -537,6 +610,82 @@ class TestTailMass:
     def test_rejects_inputs_that_pass_vacuously_or_break(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
             check_tail_mass(rng=np.random.default_rng(0), **kwargs)
+
+
+MC_BLOCK = theory._MC_BLOCK
+# Trial counts on each side of a block edge.  check_shifted_ball refuses
+# fewer than MIN_MC_TRIALS draws, so its edges sit one block further on.
+MC_TRIALS = [MIN_MC_TRIALS, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1,
+             3 * MC_BLOCK + 7, 100_000]
+BALL_TRIALS = [MIN_MC_TRIALS, 2 * MC_BLOCK - 1, 2 * MC_BLOCK,
+               2 * MC_BLOCK + 1, 3 * MC_BLOCK + 7, 100_000]
+
+
+class TestBlockedDraws:
+    """Each Monte Carlo check, drawing and counting in blocks of
+    ``_MC_BLOCK`` rows, reports exactly what one draw of every row gives and
+    leaves the generator in the same state."""
+
+    @staticmethod
+    def assert_same_as_reference(check, reference, seed, *args):
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        assert check(*args, rng=rng) == reference(*args, rng=ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("trials", BALL_TRIALS)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_shifted_ball(self, dim, trials):
+        rng = np.random.default_rng(dim)
+        transform, shift = rng.normal(size=(dim, dim)), rng.normal(size=dim)
+        self.assert_same_as_reference(
+            check_shifted_ball, reference_check_shifted_ball, trials,
+            transform, shift, 1.5, trials)
+
+    @pytest.mark.parametrize("trials", MC_TRIALS)
+    @pytest.mark.parametrize("pulls", [0, 5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_posterior_match(self, sigma, pulls, trials):
+        self.assert_same_as_reference(
+            check_posterior_match, reference_check_posterior_match, trials,
+            0.5, sigma, pulls, trials)
+
+    @pytest.mark.parametrize("trials", MC_TRIALS)
+    def test_tail_mass(self, trials):
+        self.assert_same_as_reference(
+            check_tail_mass, reference_check_tail_mass, trials,
+            1.0, 0.5, 3.0, trials)
+
+
+def traced_peak(check, *args) -> int:
+    """Peak bytes that ``tracemalloc``, which sees numpy's buffers, traces
+    while ``check`` runs."""
+    tracemalloc.start()
+    try:
+        check(*args, rng=np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedMemory:
+    """A Monte Carlo check's memory does not grow with its trials, beyond
+    the posterior check's one vector of samples and ``var``'s temporary."""
+
+    TRIALS = 1_000_000
+    SLACK = 2 * 2**20
+
+    def test_shifted_ball(self):
+        rng = np.random.default_rng(1)
+        assert traced_peak(check_shifted_ball, rng.normal(size=(3, 3)),
+                           rng.normal(size=3), 1.5, self.TRIALS) < self.SLACK
+
+    def test_tail_mass(self):
+        assert traced_peak(check_tail_mass, 1.0, 0.5, 3.0,
+                           self.TRIALS) < self.SLACK
+
+    def test_posterior_match(self):
+        assert (traced_peak(check_posterior_match, 0.5, 0.5, 3, self.TRIALS)
+                < 16 * self.TRIALS + self.SLACK)
 
 
 class TestPoolCheckBound:
