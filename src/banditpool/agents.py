@@ -60,19 +60,14 @@ def init_length(horizon: int, z: float, dims: int) -> int:
     return max(dims, math.ceil(threshold))
 
 
-def arm_sums(arms, values, n_arms: int) -> np.ndarray:
-    """Per-arm sums ``U_i`` of the ``values[l]`` with ``arms[l] == i``."""
-    return np.bincount(arms, weights=values, minlength=n_arms)
-
-
 def perturbed_mean_estimates(totals, counts, sums) -> np.ndarray:
     """Per-arm estimates ``(V_i + U_i) / s_i`` with unseen arms forced up.
 
     ``totals`` are each arm's summed observations ``V_i``, ``counts`` the
-    sizes ``s_i`` of the estimates and ``sums`` the noise sums ``U_i`` (see
-    :func:`arm_sums`).  An arm with a zero count gets ``+inf`` so a greedy
-    argmax selects it first (lowest index wins).  Once every count is
-    positive, as after the pool agent's warm-up, no mask is built.
+    sizes ``s_i`` of the estimates and ``sums`` the noise sums ``U_i``, such
+    as a pool agent's ``_arm_noise()``.  An arm with a zero count gets
+    ``+inf`` so a greedy argmax selects it first (lowest index wins).  Once
+    every count is positive, as after a pool agent's warm-up, no mask is built.
     """
     totals = np.asarray(totals, dtype=float)
     counts = np.asarray(counts)
@@ -229,42 +224,50 @@ class _ArmStatsAgent(Agent):
 class _PerturbedHistory:
     """The one body of the agents that perturb their history (both pool
     agents and LinPHE), a mixin listed ahead of the ``Agent`` base.  It keeps
-    (arm index, reward) pairs in order; ``_scores`` shifts each past reward
-    by a fresh ``_noise`` value and refits with ``_estimate``."""
+    the arm of each observation in order, for ``_arm_noise``, the one draw
+    site of the noise ``U``; ``_scores`` refits with ``_estimate(U)``."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self._arms = np.empty(self.horizon, dtype=np.int64)
-        self._rewards = np.empty(self.horizon, dtype=float)
         self._seen = 0
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
         self._arms[self._seen] = arm
-        self._rewards[self._seen] = reward
         self._seen += 1
+
+    def _arm_noise(self) -> np.ndarray:
+        """``U``: per arm, the sum of one fresh ``_noise`` value per stored
+        observation of that arm, drawn in history order."""
+        m = self._seen
+        return np.bincount(self._arms[:m], weights=self._noise(m),
+                           minlength=self.n_arms)
 
     def _scores(self, t: int) -> np.ndarray:
         """Fresh draws every call; all ``+inf``, with nothing drawn, while no
         reward is stored (only in a ranker's first round: no warm-up)."""
-        m = self._seen
-        if m == 0:
+        if self._seen == 0:
             return np.full(self.n_arms, np.inf)
-        return self._estimate(arm_sums(self._arms[:m], self._noise(m),
-                                       self.n_arms))
+        return self._estimate(self._arm_noise())
 
 
 class _PoolExploration(_PerturbedHistory):
-    """The pool agents' noise: each round rebuilds the pool from all past
-    rewards and draws one value per observation.  Neither pool agent
-    subclasses the other: perfbench's tracer wraps ``select`` and ``update``
-    of both, and inheritance would nest those spans."""
+    """The pool agents' noise and the rewards it reads: each round rebuilds
+    the pool from all past rewards and draws one value per observation.
+    Neither pool agent subclasses the other: perfbench's tracer wraps
+    ``select`` and ``update`` of both, and inheritance would nest the spans."""
 
     def _start_pool(self, params: PoolParams, rng: np.random.Generator | None,
                     dims: int) -> None:
         self.params = params
         self.rng = rng if rng is not None else np.random.default_rng()
         self.init_rounds = init_length(self.horizon, params.z, dims)
+        self._rewards = np.empty(self.horizon, dtype=float)
+
+    def _learn(self, t: int, arm: int, reward: float) -> None:
+        self._rewards[self._seen] = reward
+        super()._learn(t, arm, reward)
 
     def current_pool(self) -> RewardPool:
         if self._seen == 0:

@@ -20,7 +20,6 @@ from .agents import (
     _lapack,
     _LinearAgent,
     _PerturbedHistory,
-    arm_sums,
     perturbed_mean_estimates,
 )
 
@@ -173,8 +172,6 @@ class GaussianTSAgent(_ArmStatsAgent):
 class _PHEAgent(_ArmStatsAgent):
     """Perturbed history: fresh pseudo rewards mixed into every estimate."""
 
-    pseudo_family = "bernoulli"
-
     def __init__(self, n_arms: int, horizon: int, a: float = 1.0,
                  rng: np.random.Generator | None = None) -> None:
         super().__init__(n_arms, horizon)
@@ -182,27 +179,24 @@ class _PHEAgent(_ArmStatsAgent):
         self.a = float(a)
         self.rng = rng if rng is not None else np.random.default_rng()
 
-    def _draw_pseudo(self, count: int) -> np.ndarray:
-        if self.pseudo_family == "bernoulli":
-            return self.rng.integers(0, 2, size=count).astype(float)
-        return self.rng.normal(0.5, 0.5, size=count)
-
     def _scores(self, t: int) -> np.ndarray:
-        """Fresh per-arm means over the rewards plus ``ceil(a s_i)`` new pseudo
-        rewards per arm."""
+        """Fresh per-arm means over the rewards plus ``ceil(a s_i)`` pseudo
+        rewards per arm, new from the subclass's ``_draw_pseudo``."""
         counts = phe_pseudo_counts(self.pulls, self.a)
         pseudo = self._draw_pseudo(int(counts.sum()))
         owners = np.repeat(np.arange(self.n_arms), counts)
-        return perturbed_mean_estimates(self.totals, self.pulls + counts,
-                                        arm_sums(owners, pseudo, self.n_arms))
+        sums = np.bincount(owners, weights=pseudo, minlength=self.n_arms)
+        return perturbed_mean_estimates(self.totals, self.pulls + counts, sums)
 
 
 class BernoulliPHEAgent(_PHEAgent):
-    pseudo_family = "bernoulli"
+    def _draw_pseudo(self, count: int) -> np.ndarray:
+        return self.rng.integers(0, 2, size=count).astype(float)
 
 
 class GaussianPHEAgent(_PHEAgent):
-    pseudo_family = "gaussian"
+    def _draw_pseudo(self, count: int) -> np.ndarray:
+        return self.rng.normal(0.5, 0.5, size=count)
 
 
 # ---------------------------------------------------------------------------

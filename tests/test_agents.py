@@ -13,11 +13,11 @@ from banditpool.agents import (
     LinRewardPoolAgent,
     PoolParams,
     RewardPoolAgent,
-    arm_sums,
     init_length,
     perturbed_mean_estimates,
     ridge_solve,
 )
+from banditpool.baselines import LinPHEAgent
 from banditpool.envs import MabInstance
 
 
@@ -83,6 +83,34 @@ def run_mab(agent, instance, horizon, env_rng):
     return actions
 
 
+FEATURES = np.random.default_rng(24).normal(size=(6, 3))
+
+
+def make_pool_agent(kind, horizon, seed):
+    """A pool agent with 6 arms (the rows of ``FEATURES`` if linear)."""
+    rng = np.random.default_rng(seed)
+    if kind == "mab":
+        return RewardPoolAgent(6, horizon, PoolParams(), rng)
+    params = PoolParams(auto_ridge=kind == "linear_auto_ridge")
+    return LinRewardPoolAgent(FEATURES, horizon, params, rng)
+
+
+def replay_affine(agent, table, a, b):
+    """The actions, when arm ``i`` pays ``a * table[t - 1, i] + b`` in round
+    ``t``, and the scores of each round after the warm-up, taken with the
+    generator state restored so that ``select`` draws the same values."""
+    actions, scores = [], []
+    for t in range(1, len(table) + 1):
+        if t > agent.init_rounds:
+            state = agent.rng.bit_generator.state
+            scores.append(agent._scores(t))
+            agent.rng.bit_generator.state = state
+        arm = agent.select(t)
+        agent.update(t, arm, a * table[t - 1, arm] + b)
+        actions.append(arm)
+    return actions, scores
+
+
 class TestRewardPoolAgent:
     def make(self, n_arms=4, horizon=200, seed=0, **kwargs):
         return RewardPoolAgent(n_arms, horizon, PoolParams(**kwargs),
@@ -127,22 +155,30 @@ class TestRewardPoolAgent:
                         np.random.default_rng(17)) for _ in range(2)]
         assert runs[0] == runs[1]
 
-    def test_scale_equivariance(self):
-        """Scaling all rewards by c > 0 leaves the action sequence unchanged."""
-        horizon, scale = 160, 3.0
-        table = np.random.default_rng(6).normal(0.5, 0.4, size=(horizon, 3))
-
-        def replay(multiplier):
-            agent = RewardPoolAgent(3, horizon, PoolParams(),
-                                    np.random.default_rng(8))
-            actions = []
-            for t in range(1, horizon + 1):
-                arm = agent.select(t)
-                agent.update(t, arm, multiplier * table[t - 1, arm])
-                actions.append(arm)
-            return actions
-
-        assert replay(1.0) == replay(scale)
+    @pytest.mark.parametrize("kind, a, b", [
+        pytest.param("mab", 4.0, 0.0, id="mab-a4-b0"),
+        pytest.param("linear", 4.0, 0.0, id="linear-a4-b0"),
+        pytest.param("linear_auto_ridge", 4.0, 0.0,
+                     id="linear_auto_ridge-a4-b0"),
+        pytest.param("mab", 1.0, 10.0, id="mab-a1-b10"),
+        pytest.param("mab", 2.5, -7.0, id="mab-a2.5-b-7"),
+        pytest.param("mab", 1e-3, 0.0, id="mab-a0.001-b0"),
+    ])
+    def test_scale_equivariance(self, kind, a, b):
+        """Rewards mapped by ``y -> a y + b`` leave the actions unchanged, as
+        the pool is centred and scales with the rewards.  Under ``a = 4``, a
+        power of two, every score is exactly 4x the unscaled one.  Only the
+        MAB agent is shift-invariant: the linear agent's ridge prior sits at
+        theta = 0, so it is tested under a scale alone (see the README)."""
+        horizon = 2000
+        table = np.random.default_rng(6).normal(0.5, 0.4, size=(horizon, 6))
+        plain = replay_affine(make_pool_agent(kind, horizon, 8), table, 1.0, 0.0)
+        moved = replay_affine(make_pool_agent(kind, horizon, 8), table, a, b)
+        assert moved[0] == plain[0]
+        assert len(plain[1]) == len(moved[1]) > horizon // 2
+        if (a, b) == (4.0, 0.0):
+            assert all(np.array_equal(scaled, 4.0 * unscaled)
+                       for scaled, unscaled in zip(moved[1], plain[1]))
 
     def test_feedback_protocol_enforced(self):
         agent = self.make()
@@ -321,7 +357,7 @@ class TestLinearModelState:
         np.testing.assert_allclose(state.gram, gram_from_arms(features, arms, 1.0),
                                    rtol=1e-8)
         np.testing.assert_allclose(state.xy_sum,
-                                   features.T @ arm_sums(arms, rewards, 7),
+                                   features.T @ np.bincount(arms, rewards, 7),
                                    rtol=1e-8)
 
     def test_gram_stays_positive_definite(self):
@@ -352,7 +388,7 @@ class TestLinearModelState:
         agent = LinRewardPoolAgent(np.eye(2), 3, PoolParams(ridge_lambda=0.0))
         observe(agent, arms, ys)
         agent.state.regularize(0.0)
-        theta = agent._perturbed_fit(arm_sums(arms, noise, 2))
+        theta = agent._perturbed_fit(np.bincount(arms, noise, 2))
         np.testing.assert_allclose(
             theta, [(1.0 + 0.0 + 0.2 + 0.3) / 2, (0.5 - 0.1) / 1])
 
@@ -448,3 +484,38 @@ class TestLinRewardPoolAgent:
         base = np.linalg.eigvalsh(gram_from_arms(features, warmup, 0.0))[0]
         assert lam == pytest.approx((base + lam) / 4.0)
         assert smallest >= lam
+
+
+def greedy_arm(agent):
+    """The unperturbed greedy arm: the argmax of ``V / s``, or of ``features
+    @`` the plain ridge fit."""
+    if isinstance(agent, RewardPoolAgent):
+        return int(np.argmax(agent.totals / agent.pulls))
+    theta = ridge_solve(agent.state.gram, agent.state.xy_sum)
+    return int(np.argmax(agent.features @ theta))
+
+
+@pytest.mark.parametrize("kind", ["mab", "linear", "linphe"])
+def test_zero_arm_noise_plays_the_greedy_argmax(kind, monkeypatch):
+    """``_arm_noise`` is the one draw site of ``_scores``: with it returning
+    zeros, every scored round draws nothing and plays the greedy arm."""
+    horizon = 400
+    if kind == "linphe":
+        agent = LinPHEAgent(FEATURES, horizon, rng=np.random.default_rng(9))
+    else:
+        agent = make_pool_agent(kind, horizon, 9)
+    monkeypatch.setattr(agent, "_arm_noise", lambda: np.zeros(agent.n_arms))
+    table = np.random.default_rng(10).normal(0.5, 0.4, size=(horizon, 6))
+    scored = 0
+    for t in range(1, horizon + 1):
+        forced = agent._forced(t) is not None
+        state = agent.rng.bit_generator.state
+        arm = agent.select(t)
+        if not forced:
+            # Read after select: the linear pool agent adds its ridge term
+            # at its first fit.
+            assert arm == greedy_arm(agent)
+            assert agent.rng.bit_generator.state == state
+            scored += 1
+        agent.update(t, arm, table[t - 1, arm])
+    assert scored > horizon // 3

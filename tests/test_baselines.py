@@ -8,7 +8,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from banditpool.agents import (
     LinearModelState,
-    arm_sums,
     perturbed_mean_estimates,
     ridge_solve,
 )
@@ -140,12 +139,12 @@ class TestPHE:
     def test_combine_hand_example(self):
         """V = 2 over 2 pulls plus pseudo rewards 1 and 0: (2 + 1) / 4."""
         est = perturbed_mean_estimates([2.0], [2 + 2],
-                                       arm_sums([0, 0], [1.0, 0.0], 1))
+                                       np.bincount([0, 0], [1.0, 0.0], 1))
         assert est[0] == pytest.approx(0.75)
 
     def test_no_pseudo_rewards_gives_plain_mean(self):
         est = perturbed_mean_estimates(
-            [2.0], [4], arm_sums(np.empty(0, dtype=np.int64), np.empty(0), 1))
+            [2.0], [4], np.bincount(np.empty(0, dtype=np.int64), np.empty(0), 1))
         assert est[0] == pytest.approx(0.5)
         assert phe_pseudo_counts(0, 1.0) == 0
 
@@ -170,6 +169,13 @@ class TestPHE:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="laplace"):
             LinPHEAgent(np.eye(2), 10, pseudo_family="laplace")
+
+    def test_linphe_stores_no_rewards(self):
+        """Its pseudo-reward noise reads no reward, so no reward buffer."""
+        agent = LinPHEAgent(np.eye(2), 10, rng=np.random.default_rng(0))
+        agent.update(1, agent.select(1), 0.5)
+        assert not hasattr(agent, "_rewards")
+        assert agent._arms[: agent._seen].tolist() == [0]
 
 
 class TestLinearPrimitives:

@@ -147,6 +147,15 @@ class TestParseConfig:
         assert listed == {key: set(entry.params)
                           for key, entry in bench.AGENTS.items()}
 
+    def test_readme_python_quick_start_prints_one_finite_number(self, capsys):
+        """The README's Python quick start runs as written."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block, = re.findall(r"## Quick start \(Python\)\n\n```python\n(.*?)```",
+                            readme, re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.split()
+        assert len(printed) == 1 and math.isfinite(float(printed[0]))
+
 
 def foreign_key(experiment, kind):
     """A key some other kind reads but ``kind`` does not."""
