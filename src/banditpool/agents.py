@@ -223,26 +223,36 @@ class _ArmStatsAgent(Agent):
 
 class _PerturbedHistory:
     """The one body of the agents that perturb their history (both pool
-    agents and LinPHE), a mixin listed ahead of the ``Agent`` base.  It keeps
-    the arm of each observation in order, for ``_arm_noise``, the one draw
-    site of the noise ``U``; ``_scores`` refits with ``_estimate(U)``."""
+    agents and LinPHE), a mixin listed ahead of the ``Agent`` base whose
+    ``pulls`` count each arm's observations.  ``_seen`` counts them all;
+    ``_arm_noise`` is the one draw site of the noise ``U``, and ``_scores``
+    refits with ``_estimate(U)``."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self._arms = np.empty(self.horizon, dtype=np.int64)
         self._seen = 0
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
         super()._learn(t, arm, reward)
-        self._arms[self._seen] = arm
         self._seen += 1
 
     def _arm_noise(self) -> np.ndarray:
-        """``U``: per arm, the sum of one fresh ``_noise`` value per stored
-        observation of that arm, drawn in history order."""
-        m = self._seen
-        return np.bincount(self._arms[:m], weights=self._noise(m),
-                           minlength=self.n_arms)
+        """``U``: one ``_noise(m)`` draw of a value per stored observation,
+        cut into contiguous blocks of ``pulls[i]`` values in ascending arm
+        order and summed per block; exactly 0 for an arm with no
+        observation.  The values are i.i.d., so which one lands on which
+        observation does not change the joint law of ``U``."""
+        pulls = self.pulls
+        values = self._noise(self._seen)
+        starts = np.add.accumulate(pulls) - pulls
+        if pulls.all():
+            return np.add.reduceat(values, starts)
+        # reduceat gives ``values[start]`` for an empty block and raises for
+        # a start of m, so only the observed arms' starts enter.
+        sums = np.zeros(self.n_arms)
+        seen = pulls > 0
+        sums[seen] = np.add.reduceat(values, starts[seen])
+        return sums
 
     def _scores(self, t: int) -> np.ndarray:
         """Fresh draws every call; all ``+inf``, with nothing drawn, while no
@@ -313,9 +323,10 @@ class LinearModelState:
 
 class _LinearAgent(Agent):
     """A ridge fit over a fixed, finite arm-feature matrix: each observation
-    joins ``state``.  A ``ridge_lambda`` given here regularizes at once and
-    must be positive (a fit in round 1 sees ``lambda * I`` alone); without
-    one the subclass regularizes before its first fit."""
+    joins ``state`` and adds one to its arm's count in ``pulls``.  A
+    ``ridge_lambda`` given here regularizes at once and must be positive (a
+    fit in round 1 sees ``lambda * I`` alone); without one the subclass
+    regularizes before its first fit."""
 
     def __init__(self, features: np.ndarray, horizon: int,
                  ridge_lambda: float | None = None) -> None:
@@ -323,12 +334,14 @@ class _LinearAgent(Agent):
         super().__init__(features.shape[0], horizon)
         self.features = features
         self.dim = features.shape[1]
+        self.pulls = np.zeros(self.n_arms, dtype=np.int64)
         self.state = LinearModelState(self.dim)
         if ridge_lambda is not None:
             positive_finite("ridge_lambda", ridge_lambda)
             self.state.regularize(ridge_lambda)
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
+        self.pulls[arm] += 1
         self.state.add(self.features[arm], reward)
 
     def _perturbed_fit(self, sums: np.ndarray) -> np.ndarray:

@@ -107,7 +107,9 @@ class LinearInstance(_ArmInstance):
     """Arms with feature vectors; mean reward of arm i is ``x_i . theta``.
 
     The trailing ``d`` feature rows must form a basis, which the generator
-    guarantees by rejection.
+    guarantees by rejection.  The means are one product
+    ``features @ theta_star``, taken at construction: rewards are drawn
+    around them, and the gaps, and so the regret, are measured from them.
     """
 
     features: np.ndarray       # (K, d)
@@ -124,7 +126,8 @@ class LinearInstance(_ArmInstance):
             raise ValueError("theta_star dimension must match the features")
         all_finite("theta_star", self.theta_star)
         arms_cover_dim(k, d)
-        means = self.mean_rewards()
+        means = self.features @ self.theta_star
+        object.__setattr__(self, "_means", means)
         _check_family(self.family, means, self.v, self.sigma)
         if np.linalg.matrix_rank(self.features[-d:]) != d:
             raise ValueError("the last d feature vectors must form a basis")
@@ -138,13 +141,13 @@ class LinearInstance(_ArmInstance):
         return self.features.shape[1]
 
     def mean_rewards(self) -> np.ndarray:
-        return self.features @ self.theta_star
+        return self._means
 
     def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
         if not 0 <= arm < self.n_arms:
             raise IndexError(f"arm {arm} out of range [0, {self.n_arms})")
-        mean = float(self.features[arm] @ self.theta_star)
-        return _draw_reward(mean, self.family, self.v, self.sigma, rng)
+        return _draw_reward(float(self._means[arm]), self.family, self.v,
+                            self.sigma, rng)
 
 
 @dataclass(frozen=True, eq=False)

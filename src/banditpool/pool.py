@@ -20,8 +20,9 @@ from ._rules import at_least, positive_finite, strictly_inside_unit
 class RewardPool:
     """Flat multiset of ``2 * m`` centered, scaled rewards.
 
-    ``values[2l] = alpha * (y_l - mean)`` and ``values[2l + 1]`` is its
-    negation, so the multiset is symmetric around zero by construction.
+    ``values[l] = alpha * (y_l - mean)`` for ``l < m`` and ``values[m + l]``
+    is its negation, so the multiset is symmetric around zero by
+    construction.
     """
 
     values: np.ndarray     # shape (2m,), zero mean, sign-symmetric
@@ -56,31 +57,29 @@ class RewardPool:
 def build_pool(rewards, alpha: float) -> RewardPool:
     """Build a pool from past rewards: center, scale by ``alpha``, symmetrize.
 
-    The output keeps input order, interleaving each centered reward with its
-    negation: ``(a(y_1 - mu), a(mu - y_1), a(y_2 - mu), ...)``.
+    The first half of the output holds the centered rewards in input order,
+    the second half their negations:
+    ``(a(y_1 - mu), ..., a(y_m - mu), a(mu - y_1), ..., a(mu - y_m))``.
 
-    Precision limit: ``mu`` is rounded at the scale of the rewards, so when
-    they share a large common offset the centred values carry that rounding
-    error.  For rewards ``3e11 + (0, 0, 1/64)`` the pool variance is off by
-    7.6e-6 relative to the exact value.  Centring on a shifted mean would fix
-    it but changes the pool's bits, and so every pool agent's stream.  It
-    waits for the few-atom draw of binary reward histories, which re-records
-    the MAB and ranking pool streams anyway.
+    The rewards are centred on the shifted mean ``y_1 + mean(y - y_1)``, and
+    each value is formed as ``(y_l - y_1) - mean(y - y_1)``, so a large
+    offset common to every reward is removed before the mean is rounded.
     """
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1:
         r = r.ravel()
-    if r.size == 0:
+    m = r.size
+    if m == 0:
         raise ValueError("cannot build a reward pool from an empty history")
     positive_finite("alpha", alpha)
-    # The pairwise sum ``r.mean()`` takes, without its wrapper code; the
-    # centred values go straight into the result, with no temporaries.
-    mean = float(np.add.reduce(r)) / r.size
-    values = np.empty(2 * r.size, dtype=float)
-    centered = values[0::2]
-    np.subtract(r, mean, out=centered)
+    # Every pass writes straight into the result's first half, with no
+    # temporaries; ``np.add.reduce`` is the pairwise sum ``mean`` takes.
+    values = np.empty(2 * m, dtype=float)
+    centered = values[:m]
+    np.subtract(r, r[0], out=centered)
+    np.subtract(centered, float(np.add.reduce(centered)) / m, out=centered)
     np.multiply(alpha, centered, out=centered)
-    np.negative(centered, out=values[1::2])
+    np.negative(centered, out=values[m:])
     return RewardPool(values=values)
 
 

@@ -19,6 +19,7 @@ from banditpool.agents import (
 )
 from banditpool.baselines import LinPHEAgent
 from banditpool.envs import MabInstance
+from banditpool.ranking import RewardPoolRanker
 
 
 class TestInitLength:
@@ -150,9 +151,12 @@ class TestRewardPoolAgent:
         assert not np.array_equal(first, second)
 
     def test_deterministic_replay(self):
+        """557 pool rounds after a 243-round warm-up."""
         instance = MabInstance(means=[0.3, 0.4, 0.5, 0.6], family="gaussian")
-        runs = [run_mab(self.make(horizon=200, seed=9), instance, 200,
-                        np.random.default_rng(17)) for _ in range(2)]
+        agents = [self.make(horizon=800, seed=9) for _ in range(2)]
+        assert agents[0].horizon - agents[0].init_rounds >= 500
+        runs = [run_mab(agent, instance, 800, np.random.default_rng(17))
+                for agent in agents]
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("kind, a, b", [
@@ -337,11 +341,16 @@ def observe(agent, arms, rewards, start=1):
         agent.update(t, int(arm), float(reward))
 
 
+def gram_from_pulls(features, pulls, ridge_lambda):
+    """``lambda I + sum x x^T`` over ``pulls[i]`` copies of each row ``i``."""
+    return (ridge_lambda * np.eye(features.shape[1])
+            + features.T @ (np.asarray(pulls)[:, None] * features))
+
+
 def gram_from_arms(features, arms, ridge_lambda):
     """``lambda I + sum x x^T`` over the feature rows ``features[arms]``."""
-    pulls = np.bincount(arms, minlength=len(features))
-    return (ridge_lambda * np.eye(features.shape[1])
-            + features.T @ (pulls[:, None] * features))
+    return gram_from_pulls(features, np.bincount(arms, minlength=len(features)),
+                           ridge_lambda)
 
 
 class TestLinearModelState:
@@ -424,15 +433,15 @@ class TestLinRewardPoolAgent:
         # The warm-up gram holds no ridge term until the first fit.
         assert agent.state.ridge_lambda is None
         np.testing.assert_allclose(
-            agent.state.gram, gram_from_arms(features, agent._arms[: agent._seen], 0.0),
+            agent.state.gram, gram_from_pulls(features, agent.pulls, 0.0),
             rtol=1e-8)
         run_linear(agent, features, theta, 250, env_rng,
                    start=agent.init_rounds + 1)
         assert agent.state.ridge_lambda == 1.0
-        arms = agent._arms[: agent._seen]
         np.testing.assert_allclose(agent.state.gram,
-                                   gram_from_arms(features, arms, 1.0), rtol=1e-8)
-        assert agent._seen == 250
+                                   gram_from_pulls(features, agent.pulls, 1.0),
+                                   rtol=1e-8)
+        assert agent._seen == agent.pulls.sum() == 250
 
     def test_deterministic_replay(self):
         features = np.random.default_rng(20).normal(size=(4, 2))
@@ -447,8 +456,10 @@ class TestLinRewardPoolAgent:
         assert once() == once()
 
     def test_matches_mab_agent_one_hot(self):
-        """Identity features, zero ridge, shared streams: identical actions."""
-        n_arms, horizon = 3, 150
+        """Identity features, zero ridge, shared streams: identical actions
+        over 557 pool rounds after a 243-round warm-up, so both agents draw
+        and sum their noise alike."""
+        n_arms, horizon = 3, 800
         instance = MabInstance(means=[0.35, 0.55, 0.65], family="gaussian",
                                sigma=0.5)
         table = np.random.default_rng(42).standard_normal((horizon, n_arms))
@@ -458,6 +469,7 @@ class TestLinRewardPoolAgent:
             lin = LinRewardPoolAgent(np.eye(n_arms), horizon,
                                      PoolParams(ridge_lambda=0.0),
                                      np.random.default_rng(seed))
+            assert mab.init_rounds == lin.init_rounds <= horizon - 500
             seqs = []
             for agent in (mab, lin):
                 actions = []
@@ -480,7 +492,7 @@ class TestLinRewardPoolAgent:
         smallest = np.linalg.eigvalsh(agent.state.gram)[0]
         # The regularizer solves lam = min_eig(gram) / 4 including itself;
         # the gram at the first fit satisfied the fixed point exactly.
-        warmup = agent._arms[: agent.init_rounds]
+        warmup = np.arange(agent.init_rounds) % len(features)
         base = np.linalg.eigvalsh(gram_from_arms(features, warmup, 0.0))[0]
         assert lam == pytest.approx((base + lam) / 4.0)
         assert smallest >= lam
@@ -519,3 +531,39 @@ def test_zero_arm_noise_plays_the_greedy_argmax(kind, monkeypatch):
             scored += 1
         agent.update(t, arm, table[t - 1, arm])
     assert scored > horizon // 3
+
+
+def ranker_after_one_click():
+    """A pool ranker after round 1: slate (0, 1, 2), click on position 1, so
+    items 2 to 5 were never examined."""
+    ranker = RewardPoolRanker(6, 3, 10, PoolParams(), np.random.default_rng(11))
+    ranker.update(1, ranker.select(1), 1)
+    return ranker.items, [2, 3, 4, 5]
+
+
+def linphe_after_one_observation():
+    agent = LinPHEAgent(FEATURES, 10, rng=np.random.default_rng(12))
+    agent.update(1, agent.select(1), 0.5)
+    return agent, [1, 2, 3, 4, 5]
+
+
+def mab_pool_with_unplayed_arms():
+    agent = RewardPoolAgent(6, 10, PoolParams(), np.random.default_rng(13))
+    observe(agent, [0, 2, 0, 2, 2], [0.1, 0.9, 0.4, 0.7, 0.2])
+    return agent, [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("build", [ranker_after_one_click,
+                                   linphe_after_one_observation,
+                                   mab_pool_with_unplayed_arms],
+                         ids=["pool_ranker", "linphe", "mab_pool"])
+def test_arm_noise_is_zero_on_unseen_arms(build):
+    """An arm with no observation gets exactly 0, including unseen arms after
+    the last seen one, whose blocks would start at the end of the draw."""
+    agent, unseen = build()
+    assert agent.pulls[unseen].sum() == 0
+    for _ in range(20):
+        noise = agent._arm_noise()
+        assert noise.shape == (agent.n_arms,)
+        assert np.all(noise[unseen] == 0.0)
+        assert np.all(np.isfinite(noise))

@@ -175,7 +175,7 @@ class TestPHE:
         agent = LinPHEAgent(np.eye(2), 10, rng=np.random.default_rng(0))
         agent.update(1, agent.select(1), 0.5)
         assert not hasattr(agent, "_rewards")
-        assert agent._arms[: agent._seen].tolist() == [0]
+        assert agent.pulls.tolist() == [1, 0]
 
 
 class TestLinearPrimitives:

@@ -431,7 +431,7 @@ BERNOULLI_ENVS = {**TABLE_ENVS,
                   "linear": {"family": "bernoulli", "K": 6, "d": 3}}
 # Allocated with np.empty: only the first ``_seen`` entries (none yet) hold
 # data.
-HISTORY_BUFFERS = ("_arms", "_rewards")
+HISTORY_BUFFERS = ("_rewards",)
 
 
 def assert_same_state(made, plain, where):

@@ -12,12 +12,21 @@ reference below is the expression the code
 replaced; the new code must give the same bits on every input, since the
 golden CSV hashes of ``tests/test_golden.py`` depend on it and cannot see a
 last-bit change.
+
+Two references changed with the draw itself.  ``build_pool`` now centres on
+a shifted mean and writes its values in two halves, so its old formula is a
+tolerance reference, with an exact ``Fraction`` reference where the old
+formula's own error is the larger.  The pool agent and the pool ranker now
+give each arm a contiguous block of one draw, not the draws at its places in
+history order; the law of the noise is checked in ``tests/test_noise_law.py``,
+and the two tests here replay the block sums from the same generator state.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -36,6 +45,7 @@ from banditpool.ranking import BernoulliPHERanker, RewardPoolRanker
 
 
 def reference_pool_values(rewards, alpha):
+    """The old ``build_pool``: centred on the float mean, interleaved."""
     r = np.asarray(rewards, dtype=float)
     mean = float(r.mean())
     centered = alpha * (r - mean)
@@ -43,6 +53,14 @@ def reference_pool_values(rewards, alpha):
     values[0::2] = centered
     values[1::2] = -centered
     return values
+
+
+def exact_centred_values(rewards, alpha):
+    """``alpha * (y - mean)`` per reward in exact rational arithmetic,
+    rounded once to float."""
+    ys = [Fraction(y) for y in rewards]
+    mean = sum(ys) / len(ys)
+    return np.array([float(Fraction(alpha) * (y - mean)) for y in ys])
 
 
 def reference_estimates(totals, pulls, noise_sums):
@@ -81,6 +99,9 @@ def reference_variances(agent):
     return np.maximum(raw, 0.0)
 
 
+POOL_RTOL = 1e-12
+TINY = np.finfo(float).smallest_subnormal
+
 rewards_st = hnp.arrays(float, st.integers(1, 300),
                         elements=st.floats(-1e6, 1e6))
 alphas = st.floats(0.01, 10.0)
@@ -107,11 +128,25 @@ def fed(agent, arms, rewards):
 class TestBuildPool:
     @settings(deadline=None, max_examples=300)
     @given(rewards_st, alphas, st.floats(-1e8, 1e8))
-    def test_values_and_mean_bit_identical(self, rewards, alpha, offset):
-        """The mean is checked through the values, which are centred on it."""
+    @example(np.array([0.1, 0.1, 0.1]), 1.0, 0.0)
+    @example(np.array([0.0, 0.0, 1 / 64]), 0.6, 1e8)
+    def test_values_match_the_old_formula(self, rewards, alpha, offset):
+        """The centred half agrees with the old formula's centred values to
+        ``POOL_RTOL`` of the largest; where the old formula's own error is
+        larger than that, the exact values are the reference.  The second
+        half is the first's exact negation, as the old pairs were."""
         rewards = rewards + offset
-        assert np.array_equal(build_pool(rewards, alpha).values,
-                              reference_pool_values(rewards, alpha))
+        m = rewards.size
+        values = build_pool(rewards, alpha).values
+        assert np.array_equal(values[m:], -values[:m])
+        old = reference_pool_values(rewards, alpha)[0::2]
+        tolerance = POOL_RTOL * np.abs(old).max()
+        if np.abs(values[:m] - old).max() <= tolerance:
+            return
+        exact = exact_centred_values(rewards, alpha)
+        tolerance = POOL_RTOL * np.abs(exact).max() + m * TINY
+        assert np.abs(old - exact).max() > tolerance
+        assert np.abs(values[:m] - exact).max() <= tolerance
 
 
 class TestPerturbedMeanEstimates:
@@ -128,12 +163,25 @@ class TestPerturbedMeanEstimates:
                                   reference_estimates(totals, counts, noise))
 
 
+def reference_block_sums(draws, pulls):
+    """Per arm, the sum of its contiguous block of ``draws``: blocks of
+    ``pulls[i]`` values in ascending arm order, 0 for an arm with none.  Each
+    block is summed by ``np.add.reduceat`` on its own slice."""
+    sums = np.zeros(len(pulls))
+    start = 0
+    for arm, count in enumerate(pulls):
+        if count:
+            sums[arm] = np.add.reduceat(draws[start:start + count], [0])[0]
+        start += count
+    assert start == draws.size
+    return sums
+
+
 def reference_pool_agent_estimates(agent):
-    """``RewardPoolAgent._scores`` with its old inline noise sum."""
+    """``RewardPoolAgent._scores``: one pool draw, summed in blocks."""
     pool = agent.current_pool()
     draws = pool.draw(agent._seen, agent.rng)
-    noise = np.bincount(agent._arms[: agent._seen], weights=draws,
-                        minlength=agent.n_arms)
+    noise = reference_block_sums(draws, agent.pulls)
     return reference_estimates(agent.totals, agent.pulls, noise)
 
 
@@ -153,15 +201,14 @@ def reference_phe_estimates(agent):
 def reference_pool_ranker_scores(items):
     """The pool ranker's old ``_scores``, on the state of its item agent:
     ``pulls`` are the observations, ``totals`` the clicks, and ``_rewards``
-    and ``_arms`` the ranker's former ``_values`` and ``_items``."""
+    the ranker's former ``_values``; the noise is summed in blocks."""
     scores = np.full(items.n_arms, np.inf)
     observed = items.pulls > 0
     if items._seen == 0 or not observed.any():
         return scores
     pool = build_pool(items._rewards[: items._seen], items.params.alpha)
     draws = pool.draw(items._seen, items.rng)
-    noise = np.bincount(items._arms[: items._seen], weights=draws,
-                        minlength=items.n_arms)
+    noise = reference_block_sums(draws, items.pulls)
     scores[observed] = ((items.totals[observed] + noise[observed])
                         / items.pulls[observed])
     return scores

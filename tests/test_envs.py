@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from banditpool import envs
 from banditpool.envs import (
     CascadeInstance,
     LinearInstance,
@@ -120,6 +121,26 @@ class TestGenerateLinear:
             direct = float(np.dot(inst.features[i], inst.theta_star))
             assert 0.0 <= direct <= 1.0
             assert inst.mean_rewards()[i] == pytest.approx(direct)
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "beta"])
+    def test_rewards_drawn_around_the_reported_means(self, family, monkeypatch):
+        """Every reward is drawn around the very mean that the gaps, and so
+        the regret, are measured from: one product ``features @ theta``."""
+        handed = []
+
+        def capture(mean, *args):
+            handed.append(mean)
+            return 0.0
+
+        monkeypatch.setattr(envs, "_draw_reward", capture)
+        rng = np.random.default_rng(5)
+        for k, d in [(50, 10), (20, 5), (7, 3), (5, 1)]:
+            inst = generate_linear(k, d, family, rng)
+            for arm in range(k):
+                handed.clear()
+                inst.sample_reward(arm, rng)
+                assert handed == [inst.mean_rewards()[arm]]
+                assert inst.gaps()[arm] == inst.mean_rewards().max() - handed[0]
 
     def test_one_dimensional_case(self):
         inst = generate_linear(5, 1, "gaussian", np.random.default_rng(4))

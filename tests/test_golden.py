@@ -13,12 +13,18 @@ recorded with (numpy 2.4.6, scipy 1.17.1, OpenBLAS on x86-64): a different
 build may round a dot product or a Cholesky factor differently and so move
 them without any change to this package.
 
-No value here has been re-recorded.  On top of commit c17c7d7 the linear
-agents came to keep arm indices in place of feature rows, which moves the
-linear pool agent, LinTS and LinPHE by rounding only; that change followed
-the protocol in ``tests/test_scores_hash.py``, and the ``linear`` pair here
-kept its recorded value, because every linear kind still played the same
-arms in these episodes.
+On top of commit c17c7d7 the linear agents came to keep arm indices in
+place of feature rows, which moves the linear pool agent, LinTS and LinPHE
+by rounding only; that change followed the protocol in
+``tests/test_scores_hash.py``, and the ``linear`` pair here kept its
+recorded value, because every linear kind still played the same arms in
+these episodes.
+
+The five CSV pairs (``mab``, ``linear``, ``ranking``, and the Bernoulli and
+beta families) were re-recorded on top of commit 12acb0a, with the change
+that moved nine scores hashes (see ``tests/test_scores_hash.py``): each
+contains a pool agent or a linear env.  The check-report hashes did not
+move.
 
 The check-report hashes were recorded at commit 5741698, where each Monte
 Carlo check still drew all of its trials in one array, and hold for the
@@ -69,19 +75,19 @@ ENVS = {
 }
 
 GOLDEN = {
-    "mab": ("f15bddbdfe92e767213a1c3715f748dbb4e20db55c7a72ca3847b1253f58f066",
-            "dcfe3fb64d266ebd4adc6ac95999a6fac05bcb9ea84d69469bd5e5afc2c46d67"),
-    "linear": ("7a40c6832bf753128a9c57c487624f2cb65ab952a4c04f3ad6a393da34a3f283",
-               "2a947713578dc4f0c750d4125288e851efd7b79f3c22d2f668c11ce9e50caaeb"),
-    "ranking": ("b86daad3c9add0f42aac2b64ab2421dad7b817b5e6d849564f5c80a30c7c0734",
-                "af2b74c3395135db2a5a5003b8e272db31e2432a9aa7bcbe6f13c3b12e1d90bf"),
+    "mab": ("bb4726c69cb0ddf92b898bc48dd2e2a603b71b018f1c7eca649a9702cc356254",
+            "e27b3c33c8121d34770dec22c5852cd477dc8d58e9c9555de8a196aecb8d5dc3"),
+    "linear": ("47bf6dff65f70a3bd8b85ab82fed77a8c3e19448cb7f5477dba93965b774ea9b",
+               "6513c8510bcf12b2462ac36e9a18b941cfc6e72b34993dd76935bd52ec1d84c0"),
+    "ranking": ("9355fa32d0fdb3e7afb64b41914e5db309e752b0359b138c1476e9f8663763e4",
+                "d4375736f66531c627eeba051e380a461a26ebf8a757f11099d62ac1c5a248af"),
 }
 
 MAB_FAMILY_GOLDEN = {
-    "bernoulli": ("238432240412e1bdb88dc0ef4097a3c1a1f514f356960ba9255799c284cd915c",
-                  "e067a0ccb7ee5025ce9657c34fee29620e1180af9f4552d48fcf47233c9bffb1"),
-    "beta": ("652d8eb3c888bfd57b65923737dca6fc48eed499f2236c5406f212c7fac5bc8b",
-             "004433d3cfa0517841e90f1b694c0c88f0409852a5dcd0623f092c70b78336f7"),
+    "bernoulli": ("6bae52a93ce2e503ab27672f4b85a703439303d7b78d92591c78a08934a83010",
+                  "812fbc10bf52ac8a2de06aa254347ae4552e0712395a9b3b0d1edb55148d093d"),
+    "beta": ("97948c7dab417327128c77f4b8d2b40768349b786fd71b9328f331980b0243f8",
+             "75e835010aecda73df7efb0c1fe0b8351d8b393b7b2703c09e5a82ed46a087be"),
 }
 
 

@@ -9,6 +9,12 @@ matrix by rank-one updates with ``lambda I`` added once, and LinTS solves
 with the one LAPACK Cholesky factor.  The same random draws enter both forms,
 so each reference below must agree with the new code to 1e-12 relative, from
 identical generator states, on generated histories.
+
+The perturbed fits later came to give each arm a contiguous block of the
+one noise draw, in ascending arm order, rather than the values at its places
+in history order.  The law of the noise is unchanged (see
+``tests/test_noise_law.py``), and the two replays here hand the draws to the
+stored rows sorted by arm, ``arm_ordered_rows``.
 """
 
 import copy
@@ -81,6 +87,12 @@ def reference_auto_ridge(warmup_rows):
     return float(np.linalg.eigvalsh(warmup_rows.T @ warmup_rows)[0]) / 3.0
 
 
+def arm_ordered_rows(features, arms):
+    """The feature rows of the observations ``arms``, sorted by arm: the
+    order in which the agents hand out their noise values."""
+    return features[np.sort(arms, kind="stable")]
+
+
 def reference_perturbed_fit(gram, xy_sum, xs, noise):
     return ridge_solve(gram, xy_sum + xs.T @ noise)
 
@@ -116,7 +128,8 @@ def test_pool_agent_matches_stored_row_fit(params, history, split):
         rng = copy.deepcopy(agent.rng)
         scores = agent._scores(stop + 1)
         draws = build_pool(ys[:stop], params.alpha).draw(stop, rng)
-        old = features @ reference_perturbed_fit(gram, xy_sum, xs[:stop], draws)
+        rows = arm_ordered_rows(features, arms[:stop])
+        old = features @ reference_perturbed_fit(gram, xy_sum, rows, draws)
         assert_agrees(scores, old)
         assert_agrees(agent.state.gram, gram)
         assert_agrees(agent.state.xy_sum, xy_sum)
@@ -142,7 +155,8 @@ def test_linphe_matches_stored_row_fit(pseudo_family, history):
         noise = 0.7 * (rng.integers(0, 2, size=len(arms)) - 0.5)
     else:
         noise = rng.normal(0.0, 0.7, size=len(arms))
-    assert_agrees(scores, features @ reference_perturbed_fit(gram, xy_sum, xs, noise))
+    rows = arm_ordered_rows(features, arms)
+    assert_agrees(scores, features @ reference_perturbed_fit(gram, xy_sum, rows, noise))
 
 
 @settings(deadline=None, max_examples=100)

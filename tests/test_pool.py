@@ -32,7 +32,8 @@ def offset_histories(draw):
 
 class TestBuildPool:
     def test_two_rewards_unit_scale(self):
-        """Hand-evaluated pool for rewards (0, 1): interleaved +/- pairs."""
+        """Hand-evaluated pool for rewards (0, 1): the centred rewards, then
+        their negations."""
         pool = build_pool([0.0, 1.0], alpha=1.0)
         np.testing.assert_allclose(pool.values, [-0.5, 0.5, 0.5, -0.5])
 
@@ -71,21 +72,25 @@ class TestBuildPoolProperties:
     @settings(deadline=None, max_examples=300)
     @given(offset_histories(), st.floats(0.01, 10.0))
     @example(np.array([1.9119255948309746e-156, 0.0, 0.0]), 0.0625)
+    @example(3e11 + np.array([0.0, 0.0, 1 / 64]), 0.6)
     def test_symmetric_centred_and_variance_exact(self, rewards, alpha):
-        """Pairs are exact negations and the values sum to ~0.
+        """The second half negates the first exactly and the values sum to ~0.
 
         The variance differs from the exact one only through the rounded
-        mean: centring on a mean off by ``delta`` adds ``alpha**2 delta**2``,
-        and a float mean of m rewards is off by at most ``m eps max|y|``.
-        The remaining roundings stay far below 1e-12 relative, unless the
-        squares underflow: a subnormal square or sum is rounded to an
-        absolute quantum, so each pool value may add a few ``TINY``.
+        mean: centring on a mean off by ``delta`` adds ``alpha**2 delta**2``.
+        The pool centres the shifts ``y - y_1`` on their float mean, which is
+        off by at most ``(m + 1) eps max|y - y_1|``, so a common offset of
+        the rewards does not enter.  The remaining roundings stay far below
+        1e-12 relative, unless the squares underflow: a subnormal square or
+        sum is rounded to an absolute quantum, so each pool value may add a
+        few ``TINY``.
         """
         pool = build_pool(rewards, alpha)
         values = pool.values
-        assert np.array_equal(values[1::2], -values[0::2])
+        m = rewards.size
+        assert np.array_equal(values[m:], -values[:m])
         assert abs(values.sum()) <= values.size * EPS * np.abs(values).max()
-        delta = rewards.size * EPS * np.abs(rewards).max()
+        delta = (m + 1) * EPS * np.abs(rewards - rewards[0]).max()
         exact = exact_pool_variance(rewards, alpha)
         underflow = 2 * values.size * TINY
         assert (abs(pool.variance() - exact)

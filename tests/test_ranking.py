@@ -319,7 +319,7 @@ class TestRankers:
         expected = build_pool([0.0, 0.0, 1.0, 0.0, 1.0], alpha=0.6)
         got = ranker.items.current_pool()
         np.testing.assert_array_equal(got.values, expected.values)
-        assert ranker.items._arms[: ranker.items._seen].tolist() == [0, 1, 2, 0, 2]
+        assert ranker.items.pulls.tolist() == [2, 1, 2, 0]
 
     def test_pool_ranker_first_slate_is_leading_items(self):
         ranker = RewardPoolRanker(6, 3, 10, PoolParams(), np.random.default_rng(9))

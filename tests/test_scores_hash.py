@@ -27,6 +27,18 @@ formulas (``tests/test_linear_references.py``) agree with the new code to
 1e-12 relative from identical generator states, and only then were the
 hashes re-recorded, in the same commit.  The MAB, ranking and ``linucb``
 values did not move.
+
+Nine values were re-recorded on top of commit 12acb0a, when the pool agents,
+the pool ranker and LinPHE came to give each arm a contiguous block of one
+noise draw, ``build_pool`` came to centre on a shifted mean and to write its
+values in two halves, and ``LinearInstance`` came to draw every reward around
+its one ``features @ theta_star`` product: ``mab``/``pool``,
+``linear``/``pool``, ``linear``/``linphe``, ``ranking``/``pool``, and
+``linear``/``lints`` and ``linear``/``linucb``, whose reward streams moved,
+here; ``pool_auto``, ``pool_lambda0`` and ``linphe_bern`` in the second
+table.  That change moves how noise is assigned, not its law: the law is
+gated by ``tests/test_noise_law.py``, and the old centring by a tolerance
+reference in ``tests/test_bit_identity.py``.
 """
 
 import hashlib
@@ -46,18 +58,18 @@ ENVS = {
 }
 
 SCORES_SHA256 = {
-    ("mab", "pool"): "afdef96ad217b2abeb24a34f0bef0289e5c7b1c64a8786dc69fd5bbbd22a4c4f",
+    ("mab", "pool"): "0a1181b3b2ab7096b108ceeacb3c0205f2915424e2fdc57603e1e1763e0499af",
     ("mab", "ucb1"): "f6b8db0f196893bba71a9dc668ba7fadc2f50f5aaf27a140588dd7053e3eae7c",
     ("mab", "ucbv"): "61debeb65d623ebaa4457523d51aeda77502b7c8dc4e6ae46081ce27db3aa2a2",
     ("mab", "bern_ts"): "95afa3bae948ed0b55b12fbe34b8e10b6e344ea83cead20ba5128a2c91ed8462",
     ("mab", "gauss_ts"): "1afe13fe886e2a566b312dc71c52f377f9e5eb25274a30d9a389e297489f934a",
     ("mab", "bern_phe"): "0bdebc528c5b1130ea9c907130af1cbea893e98beff93606ef4da499b5a4aa4b",
     ("mab", "gauss_phe"): "2f36d895666f56cfbdfd3f8804b13188e71ce9162158cc97d9ce5677cb4527a0",
-    ("linear", "pool"): "d506c339d8468bfa69a0e9c09dbbea2c5f19668cd8fe8c17b7a6212ba5848284",
-    ("linear", "linucb"): "109eecc3b5b9a6edcb269611d5b7c7db9f33a2fbd8c4b0edd8ffce4e64a10f1e",
-    ("linear", "lints"): "6bfcadd96568e18b5aff62e06266f57f7d25d15ecc9ea5c2e7b694e69ce245ae",
-    ("linear", "linphe"): "bfd3a20aba1b6a229700b1a87d6b7a231b10dc0c16201a5fc5ca50f45d59bab0",
-    ("ranking", "pool"): "0ecac3456e0820dfcdb47f7c421d004248ceacdc62f41f1b519756d77c08314c",
+    ("linear", "pool"): "cafa0e704478c74513ba8e1f4845c59a1c5e07647502bb2d03dcafff2f87e5e1",
+    ("linear", "linucb"): "c136c83b6123a357c226aaa698a69ee33c94542267828a7a900abde196be4d24",
+    ("linear", "lints"): "069fb0174ec96848a635bd9c626df6438652e47bc4433c1cbed334cc528bcd40",
+    ("linear", "linphe"): "58842f1028987b1305e981c41acc5780904999ed83a6777d8b402ab09be48207",
+    ("ranking", "pool"): "b3f226253c31ff1273d4d392328f21db666e354ae6b0c9f958888ce787c1a51a",
     ("ranking", "klucb"): "6201f47dbd0d5c8424d7b36cd4b3813ed3a8fd6b54a9653539ff5973bff3de28",
     ("ranking", "bern_ts"): "2cb898c2c06ce84fb8bca09c7fe3e78fbdb904b83f7fa781980e73ae57435214",
     ("ranking", "bern_phe"): "43fc04b9fd91c8736daae667a25808368fb9de9d5b46e464a972a41a4927c925",
@@ -67,11 +79,11 @@ SCORES_SHA256 = {
 # name (the agent name that seeds its stream) -> (kind, params, SHA-256).
 LINEAR_VARIANT_SHA256 = {
     "pool_auto": ("pool", {"auto_ridge": True},
-                  "7877056acf8612bfa32d3eab571311dac30f0ad2a5e83a20c8b2b668962db6f9"),
+                  "9d993695de1b258bfd80d5949099e7a8ea7535377e1882925731e439286c7721"),
     "pool_lambda0": ("pool", {"lambda": 0.0},
-                     "f4b2287bc7174a3cea3061f5f0b08937933fc68e8efe4772f0c8f2140d40f3f3"),
+                     "8e249ec32eb374714852e90e4d806615200d99ade1329afc8e087a8d2fae3de1"),
     "linphe_bern": ("linphe", {"pseudo": "bernoulli"},
-                    "f72aaad6fb51b903842bc972491fb32b625fd9d78f73c1841d4bf5adbe968303"),
+                    "57d57d1c6bd9aeb3d09aa09608fb7f9d03fec7c99fa2d55c64ecb6a097c15bda"),
 }
 
 
