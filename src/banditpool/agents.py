@@ -245,8 +245,6 @@ class _PerturbedHistory:
         pulls = self.pulls
         values = self._noise(self._seen)
         starts = np.add.accumulate(pulls) - pulls
-        if pulls.all():
-            return np.add.reduceat(values, starts)
         # reduceat gives ``values[start]`` for an empty block and raises for
         # a start of m, so only the observed arms' starts enter.
         sums = np.zeros(self.n_arms)
@@ -323,10 +321,9 @@ class LinearModelState:
 
 class _LinearAgent(Agent):
     """A ridge fit over a fixed, finite arm-feature matrix: each observation
-    joins ``state`` and adds one to its arm's count in ``pulls``.  A
-    ``ridge_lambda`` given here regularizes at once and must be positive (a
-    fit in round 1 sees ``lambda * I`` alone); without one the subclass
-    regularizes before its first fit."""
+    joins ``state``.  A ``ridge_lambda`` given here regularizes at once and
+    must be positive (a fit in round 1 sees ``lambda * I`` alone); without
+    one the subclass regularizes before its first fit."""
 
     def __init__(self, features: np.ndarray, horizon: int,
                  ridge_lambda: float | None = None) -> None:
@@ -334,14 +331,12 @@ class _LinearAgent(Agent):
         super().__init__(features.shape[0], horizon)
         self.features = features
         self.dim = features.shape[1]
-        self.pulls = np.zeros(self.n_arms, dtype=np.int64)
         self.state = LinearModelState(self.dim)
         if ridge_lambda is not None:
             positive_finite("ridge_lambda", ridge_lambda)
             self.state.regularize(ridge_lambda)
 
     def _learn(self, t: int, arm: int, reward: float) -> None:
-        self.pulls[arm] += 1
         self.state.add(self.features[arm], reward)
 
     def _perturbed_fit(self, sums: np.ndarray) -> np.ndarray:
@@ -354,7 +349,21 @@ class _LinearAgent(Agent):
         return self.features @ self._perturbed_fit(sums)
 
 
-class LinRewardPoolAgent(_PoolExploration, _LinearAgent):
+class _PerturbedLinearAgent(_LinearAgent):
+    """The base of the linear agents that perturb their history: it also
+    counts each arm's observations in ``pulls``, the block sizes of their
+    noise."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.pulls = np.zeros(self.n_arms, dtype=np.int64)
+
+    def _learn(self, t: int, arm: int, reward: float) -> None:
+        self.pulls[arm] += 1
+        super()._learn(t, arm, reward)
+
+
+class LinRewardPoolAgent(_PoolExploration, _PerturbedLinearAgent):
     """Linear bandit agent: pool-perturbed ridge regression, greedy argmax.
 
     The ridge term joins the Gram matrix at the first round after the

@@ -20,6 +20,7 @@ from .agents import (
     _lapack,
     _LinearAgent,
     _PerturbedHistory,
+    _PerturbedLinearAgent,
     perturbed_mean_estimates,
 )
 
@@ -250,7 +251,7 @@ class LinTSAgent(_LinearAgent):
         return self.features @ lints_sample(self.state, self.sigma_ts, self.rng)
 
 
-class LinPHEAgent(_PerturbedHistory, _LinearAgent):
+class LinPHEAgent(_PerturbedHistory, _PerturbedLinearAgent):
     """Linear perturbed history: every fit shifts each past reward by fresh
     pseudo-reward noise, centred coins ``a * (B - 1/2)`` for ``bernoulli`` and
     ``N(0, a^2)`` for ``gaussian``."""

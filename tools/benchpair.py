@@ -2,23 +2,28 @@
 
 Usage, from anywhere::
 
-    python3 tools/benchpair.py PARENT CHANGE --workload ranking --pairs 10 \\
-        --seconds 15 --seed0 2901 --out BENCH_<pr>.json
+    python3 tools/benchpair.py PARENT CHANGE --workload ranking \\
+        --seed0 2901 --out BENCH_<pr>.json
 
-``--workload`` may be repeated; by default every workload runs.  Pair ``i``
-runs ``perfbench/run.py --workload W --seed SEED0+i --seconds S --trace 0``
-once in each checkout, in a fresh interpreter, with the parent first in even
-pairs and the change first in odd ones.  Each side's own, unchanged
-``perfbench/run.py`` runs, and its report is read from that checkout's
+``--workload`` may be repeated; by default every workload runs.  Each
+workload runs 10 pairs.  Pair ``i`` runs ``perfbench/run.py --workload W
+--seed SEED0+i --seconds S --trace 0`` once in each checkout, in a fresh
+interpreter, with the parent first in even pairs and the change first in odd
+ones.  ``S`` is the ``run_seconds`` of both checkouts' ``BENCHMARK.json``,
+which must agree.  Each side's own, unchanged ``perfbench/run.py`` runs, and
+its report is read from that checkout's
 ``.perfbench_out/<W>/report-seed<N>-trace0.json``.
 
 The output holds, per workload, the seeds, each side's ``context`` (without
 the seed), the load average at the start and end of the workload's runs, the
 runs that reported failures, and per end-to-end metric each side's median
-and quartiles, the pairs the change won, and every run's value.  Every
-end-to-end metric of ``BENCHMARK.json`` is better lower, so the change wins
-a pair when its value is the lower one; ties count for neither side.  The file is rewritten after each workload, and the table that
-``CHANGES.md`` entries quote is printed at the end.
+and quartiles, the pairs the change won, and each compared run's value, in
+seed order.  A pair in which either side reported a failure is left out of
+the metrics, so ``pairs`` counts the compared pairs only.  Every end-to-end
+metric of ``BENCHMARK.json`` is better lower, so the change wins a pair when
+its value is the lower one; ties count for neither side.  The file is
+rewritten after each workload, and the table that ``CHANGES.md`` entries
+quote is printed at the end.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from pathlib import Path
 
 WORKLOADS = ("mab", "linear", "ranking", "theory")
 SIDES = ("parent", "change")
+PAIRS = 10
 RUN_TIMEOUT_S = 900
 
 
@@ -59,11 +65,21 @@ def first_side(pair: int) -> str:
     return SIDES[pair % 2]
 
 
-def collect(checkouts: dict, workload: str, pairs: int, seconds: float,
-            seed0: int, runner=run_perfbench) -> list[tuple[str, int, dict]]:
+def run_seconds(checkouts: dict) -> float:
+    """The ``run_seconds`` that both checkouts' ``BENCHMARK.json`` give."""
+    seconds = {side: json.loads((checkouts[side] / "BENCHMARK.json")
+                                .read_text())["run_seconds"]
+               for side in SIDES}
+    if seconds["parent"] != seconds["change"]:
+        raise SystemExit(f"the checkouts' run_seconds differ: {seconds}")
+    return float(seconds["change"])
+
+
+def collect(checkouts: dict, workload: str, seconds: float, seed0: int,
+            runner=run_perfbench) -> list[tuple[str, int, dict]]:
     """``(side, seed, report)`` of every run, in the order they ran."""
     records = []
-    for pair in range(pairs):
+    for pair in range(PAIRS):
         seed = seed0 + pair
         order = SIDES if first_side(pair) == "parent" else SIDES[::-1]
         for side in order:
@@ -85,13 +101,17 @@ def summarize(records, seed0: int, loadavg: tuple[str, str]) -> dict:
     reports = {(side, seed): report for side, seed, report in records}
     seeds = sorted({seed for _, seed in reports})
     first = {side: reports[side, seeds[0]] for side in SIDES}
+    failed = {side: [seed for seed in seeds if reports[side, seed]["failures"]]
+              for side in SIDES}
+    compared = [seed for seed in seeds
+                if not any(seed in failed[side] for side in SIDES)]
     metrics = {}
-    for name in first["change"]["metrics"]:
+    for name in first["change"]["metrics"] if compared else ():
         values = {side: [reports[side, seed]["metrics"][name][0]
-                         for seed in seeds] for side in SIDES}
+                         for seed in compared] for side in SIDES}
         won = sum(c < p for p, c in zip(values["parent"], values["change"]))
         entry = {"unit": first["change"]["metrics"][name][1], "won": won,
-                 "pairs": len(seeds)}
+                 "pairs": len(compared)}
         for side in SIDES:
             q1, median, q3 = quartiles(values[side])
             entry[side] = {"median": median, "q1": q1, "q3": q3,
@@ -104,9 +124,7 @@ def summarize(records, seed0: int, loadavg: tuple[str, str]) -> dict:
                            if k != "seed"} for side in SIDES},
         "loadavg_start": loadavg[0],
         "loadavg_end": loadavg[1],
-        "failed_runs": {side: [seed for seed in seeds
-                               if reports[side, seed]["failures"]]
-                        for side in SIDES},
+        "failed_runs": failed,
         "metrics": metrics,
     }
 
@@ -141,27 +159,22 @@ def parse_args(argv):
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="workload to run; repeat for several "
                              "(default: all of them)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed0", type=int, required=True,
                         help="seed of the first pair; pair i uses seed0 + i")
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON file to write, such as BENCH_<pr>.json")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None, runner=run_perfbench, loadavg=read_loadavg) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    result = {"pairs": args.pairs, "seconds": args.seconds,
-              "seed0": args.seed0, "workloads": {}}
+    seconds = run_seconds(checkouts)
+    result = {"pairs": PAIRS, "seconds": seconds, "seed0": args.seed0,
+              "workloads": {}}
     for workload in args.workload or WORKLOADS:
         start = loadavg()
-        records = collect(checkouts, workload, args.pairs, args.seconds,
-                          args.seed0, runner)
+        records = collect(checkouts, workload, seconds, args.seed0, runner)
         result["workloads"][workload] = summarize(
             records, args.seed0, (start, loadavg()))
         args.out.write_text(json.dumps(result, indent=1) + "\n")
