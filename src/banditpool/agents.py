@@ -66,18 +66,25 @@ def perturbed_mean_estimates(totals, counts, sums) -> np.ndarray:
     ``totals`` are each arm's summed observations ``V_i``, ``counts`` the
     sizes ``s_i`` of the estimates and ``sums`` the noise sums ``U_i``, such
     as a pool agent's ``_arm_noise()``.  An arm with a zero count gets
-    ``+inf`` so a greedy argmax selects it first (lowest index wins).  Once
-    every count is positive, as after a pool agent's warm-up, no mask is built.
+    ``+inf`` so a greedy argmax selects it first (lowest index wins).
     """
-    totals = np.asarray(totals, dtype=float)
     counts = np.asarray(counts)
-    sums = np.asarray(sums, dtype=float)
-    if counts.all():
-        return (totals + sums) / counts
-    est = np.full(totals.shape, np.inf)
-    seen = counts > 0
-    est[seen] = (totals[seen] + sums[seen]) / counts[seen]
-    return est
+    return np.divide(np.add(totals, sums, dtype=float), counts,
+                     where=counts > 0, out=np.full(counts.shape, np.inf))
+
+
+def block_sums(values, sizes) -> np.ndarray:
+    """The sum of each contiguous block of ``values``: blocks of ``sizes[i]``
+    values, taken in order, that together cover ``values``; exactly 0 for an
+    empty block.  It is every perturbed-history agent's per-arm noise sum."""
+    sizes = np.asarray(sizes)
+    starts = np.add.accumulate(sizes) - sizes
+    # reduceat gives ``values[start]`` for an empty block and raises for a
+    # start of ``len(values)``, so only the non-empty blocks' starts enter.
+    sums = np.zeros(sizes.shape)
+    nonempty = sizes > 0
+    sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return sums
 
 
 @functools.cache
@@ -242,15 +249,7 @@ class _PerturbedHistory:
         order and summed per block; exactly 0 for an arm with no
         observation.  The values are i.i.d., so which one lands on which
         observation does not change the joint law of ``U``."""
-        pulls = self.pulls
-        values = self._noise(self._seen)
-        starts = np.add.accumulate(pulls) - pulls
-        # reduceat gives ``values[start]`` for an empty block and raises for
-        # a start of m, so only the observed arms' starts enter.
-        sums = np.zeros(self.n_arms)
-        seen = pulls > 0
-        sums[seen] = np.add.reduceat(values, starts[seen])
-        return sums
+        return block_sums(self._noise(self._seen), self.pulls)
 
     def _scores(self, t: int) -> np.ndarray:
         """Fresh draws every call; all ``+inf``, with nothing drawn, while no

@@ -21,6 +21,7 @@ from .agents import (
     _LinearAgent,
     _PerturbedHistory,
     _PerturbedLinearAgent,
+    block_sums,
     perturbed_mean_estimates,
 )
 
@@ -184,9 +185,7 @@ class _PHEAgent(_ArmStatsAgent):
         """Fresh per-arm means over the rewards plus ``ceil(a s_i)`` pseudo
         rewards per arm, new from the subclass's ``_draw_pseudo``."""
         counts = phe_pseudo_counts(self.pulls, self.a)
-        pseudo = self._draw_pseudo(int(counts.sum()))
-        owners = np.repeat(np.arange(self.n_arms), counts)
-        sums = np.bincount(owners, weights=pseudo, minlength=self.n_arms)
+        sums = block_sums(self._draw_pseudo(int(counts.sum())), counts)
         return perturbed_mean_estimates(self.totals, self.pulls + counts, sums)
 
 

@@ -54,7 +54,22 @@ def _draw_reward(mean: float, family: str, v: float, sigma: float,
 
 
 class _ArmInstance:
-    """Regret accounting shared by the multi-armed and linear instances."""
+    """Arms with one mean reward each, ``means``, in a common reward family:
+    sampling and regret accounting shared by the multi-armed and linear
+    instances."""
+
+    @property
+    def n_arms(self) -> int:
+        return self.means.size
+
+    def mean_rewards(self) -> np.ndarray:
+        return self.means
+
+    def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
+        if not 0 <= arm < self.n_arms:
+            raise IndexError(f"arm {arm} out of range [0, {self.n_arms})")
+        return _draw_reward(float(self.means[arm]), self.family, self.v,
+                            self.sigma, rng)
 
     def gaps(self) -> np.ndarray:
         """Per-arm suboptimality: best mean minus each arm's mean."""
@@ -88,28 +103,15 @@ class MabInstance(_ArmInstance):
             raise ValueError("a bandit instance needs at least two arms")
         _check_family(self.family, self.means, self.v, self.sigma)
 
-    @property
-    def n_arms(self) -> int:
-        return self.means.size
-
-    def mean_rewards(self) -> np.ndarray:
-        return self.means
-
-    def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
-        if not 0 <= arm < self.n_arms:
-            raise IndexError(f"arm {arm} out of range [0, {self.n_arms})")
-        return _draw_reward(float(self.means[arm]), self.family, self.v,
-                            self.sigma, rng)
-
 
 @dataclass(frozen=True, eq=False)
 class LinearInstance(_ArmInstance):
     """Arms with feature vectors; mean reward of arm i is ``x_i . theta``.
 
     The trailing ``d`` feature rows must form a basis, which the generator
-    guarantees by rejection.  The means are one product
+    guarantees by rejection.  ``means`` is one product
     ``features @ theta_star``, taken at construction: rewards are drawn
-    around them, and the gaps, and so the regret, are measured from them.
+    around it, and the gaps, and so the regret, are measured from it.
     """
 
     features: np.ndarray       # (K, d)
@@ -126,28 +128,14 @@ class LinearInstance(_ArmInstance):
             raise ValueError("theta_star dimension must match the features")
         all_finite("theta_star", self.theta_star)
         arms_cover_dim(k, d)
-        means = self.features @ self.theta_star
-        object.__setattr__(self, "_means", means)
-        _check_family(self.family, means, self.v, self.sigma)
+        object.__setattr__(self, "means", self.features @ self.theta_star)
+        _check_family(self.family, self.means, self.v, self.sigma)
         if np.linalg.matrix_rank(self.features[-d:]) != d:
             raise ValueError("the last d feature vectors must form a basis")
 
     @property
-    def n_arms(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def mean_rewards(self) -> np.ndarray:
-        return self._means
-
-    def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
-        if not 0 <= arm < self.n_arms:
-            raise IndexError(f"arm {arm} out of range [0, {self.n_arms})")
-        return _draw_reward(float(self._means[arm]), self.family, self.v,
-                            self.sigma, rng)
 
 
 @dataclass(frozen=True, eq=False)
