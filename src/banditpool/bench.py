@@ -85,6 +85,9 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's values, checked here however they are built; only the rules
+    on the swept agent's kind wait for ``parameter_sweep``."""
+
     experiment: str
     env: dict
     agents: tuple[AgentSpec, ...]
@@ -100,24 +103,22 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.experiment not in ENVS:
             raise ConfigError(f"run.experiment: must be one of {tuple(ENVS)}")
-        if self.horizon < 1:
-            raise ConfigError("run.n: must be >= 1")
-        if self.instances < 1:
-            raise ConfigError("run.instances: must be >= 1")
-        if self.runs < 1:
-            raise ConfigError("run.runs: must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("run.seed: must be >= 0")
+        for key, value, least in (
+                ("n", self.horizon, 1), ("instances", self.instances, 1),
+                ("runs", self.runs, 1), ("workers", self.workers, 1),
+                ("seed", self.seed, 0)):
+            if value < least:
+                raise ConfigError(f"run.{key}: must be >= {least}")
         if self.stride < 1 or self.stride > self.horizon:
             raise ConfigError("run.stride: must be in [1, n]")
-        if self.workers < 1:
-            raise ConfigError("run.workers: must be >= 1")
         if not self.agents:
             raise ConfigError("agent.*: at least one agent section is required")
         names = [a.name for a in self.agents]
         if len(set(names)) != len(names):
             raise ConfigError("agent.*: agent names must be unique")
         for spec in self.agents:
+            if not spec.name:
+                raise ConfigError("agent.: agent name must be non-empty")
             # A kind the table lacks is reported where the agent is built.
             if (self.experiment, spec.kind) in AGENTS:
                 _check_fields(f"agent.{spec.name}", spec.params,
@@ -135,6 +136,11 @@ class RunConfig:
         if "queries_dir" in self.env and extra:
             raise ConfigError(f"env.{extra[0]}: not read with env.queries_dir, "
                               "whose files give the whole instance")
+        if self.sweep is not None:
+            _check_fields("sweep", self.sweep, ("alpha", "z", "agent"))
+            for axis in ("alpha", "z"):
+                if axis in self.sweep and not self.sweep[axis]:
+                    raise ConfigError(f"sweep.{axis}: grid must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -179,11 +185,11 @@ def parse_config(path) -> RunConfig:
 
     A section or key the runner does not read is rejected rather than
     ignored, so a misspelt field cannot silently fall back to its default.
+    Only what needs the INI text is checked here; RunConfig checks values.
     """
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"{path}: cannot read config file")
     for section in parser.sections():
         if section not in ("run", "env", "sweep") and not section.startswith("agent."):
@@ -202,47 +208,29 @@ def parse_config(path) -> RunConfig:
     for section in parser.sections():
         if not section.startswith("agent."):
             continue
-        name = section[len("agent."):]
-        if not name:
-            raise ConfigError(f"{section}: agent name must be non-empty")
         params = dict(parser.items(section))
         kind = params.pop("kind", None)
         if kind is None:
             raise ConfigError(f"{section}.kind: missing required field")
         entry = AGENTS.get((run["experiment"], kind), AgentEntry(None, {}))
-        agent_specs.append(AgentSpec(name=name, kind=kind, params=_typed(
+        agent_specs.append(AgentSpec(section[len("agent."):], kind, _typed(
             section, params.items(), entry.params)))
 
     sweep = None
     if parser.has_section("sweep"):
         sweep = dict(parser.items("sweep"))
-        _check_fields("sweep", sweep, ("alpha", "z", "agent"))
-        if "alpha" not in sweep:
-            raise ConfigError("sweep.alpha: missing required field")
-        # Whether the swept agent reads z is checked by parameter_sweep.
         for axis in [axis for axis in ("alpha", "z") if axis in sweep]:
             raw = sweep[axis]
             try:
                 sweep[axis] = [float(v) for v in raw.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"sweep.{axis}: cannot parse grid {raw!r}") from exc
-            if not sweep[axis]:
-                raise ConfigError(f"sweep.{axis}: grid must be nonempty")
 
     return RunConfig(
-        experiment=run["experiment"],
         env=_typed("env", parser.items("env"), ENVS.get(
             run["experiment"], EnvEntry(None, {})).params),
-        agents=tuple(agent_specs),
-        horizon=run["n"],
-        instances=run["instances"],
-        runs=run["runs"],
-        seed=run["seed"],
-        out_dir=run["out_dir"],
-        stride=run["stride"],
-        workers=run["workers"],
-        sweep=sweep,
-    )
+        agents=tuple(agent_specs), sweep=sweep,
+        **{"horizon" if key == "n" else key: run[key] for key in _RUN_FIELDS})
 
 
 def _agent_digest(name: str) -> int:
@@ -498,7 +486,7 @@ def parameter_sweep(config: RunConfig) -> list[dict]:
     Writes ``sweep.csv`` (the swept axes, then ``SWEEP_STATS``) and returns
     its rows.
     """
-    if not config.sweep:
+    if config.sweep is None:
         raise ConfigError("sweep: missing section")
     pool_agents = [s.name for s in config.agents if s.kind == "pool"]
     target = config.sweep.get(

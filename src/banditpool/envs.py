@@ -133,10 +133,6 @@ class LinearInstance(_ArmInstance):
         if np.linalg.matrix_rank(self.features[-d:]) != d:
             raise ValueError("the last d feature vectors must form a basis")
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class CascadeInstance:

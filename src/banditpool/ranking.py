@@ -128,7 +128,6 @@ class RankerPolicy(Agent):
     def __init__(self, n_items: int, slate_size: int, horizon: int) -> None:
         slate_fits(slate_size, n_items)
         super().__init__(n_items, horizon)
-        self.n_items = n_items
         self.slate_size = slate_size
         self.capacity = horizon * slate_size
 

@@ -21,6 +21,7 @@ from banditpool.agents import (
     LinearModelState,
     LinRewardPoolAgent,
     PoolParams,
+    RewardPoolAgent,
     init_length,
     ridge_solve,
 )
@@ -38,6 +39,7 @@ from banditpool.envs import (
     CascadeInstance,
     LinearInstance,
     MabInstance,
+    generate_cascade,
     generate_linear,
     load_cascade_file,
 )
@@ -280,3 +282,44 @@ def test_each_rule_is_written_only_in_the_rules_module(template):
     owners = [path.name for path in sorted(package.glob("*.py"))
               if template in path.read_text()]
     assert owners == ["_rules.py"]
+
+
+def rank_deficient_auto_ridge():
+    """Warm up a ridge-deriving agent on features whose second column is 0."""
+    agent = LinRewardPoolAgent(np.array([[1.0, 0.0], [2.0, 0.0]]), 300,
+                               PoolParams(auto_ridge=True), np.random.default_rng(0))
+    for t in range(1, 301):
+        agent.update(t, agent.select(t), 0.5)
+
+
+@pytest.mark.parametrize("error, message, build", [
+    # envs
+    (ValueError, "beta concentration v must be positive, got 0.0",
+     lambda: MabInstance(means=[0.2, 0.5], family="beta", v=0.0)),
+    (ValueError, "beta rewards need means strictly inside (0, 1)",
+     lambda: MabInstance(means=[0.0, 0.5], family="beta")),
+    (ValueError, "beta rewards need means strictly inside (0, 1)",
+     lambda: MabInstance(means=[0.5, 1.0], family="beta")),
+    (ValueError, "gaussian reward std must be positive, got -1.0",
+     lambda: MabInstance(means=[0.2, 0.5], family="gaussian", sigma=-1.0)),
+    (ValueError, "a bandit instance needs at least two arms",
+     lambda: MabInstance(means=[0.5], family="bernoulli")),
+    (ValueError, "need at least one item",
+     lambda: CascadeInstance(attractions=[], slate_size=1)),
+    (ValueError, "need 0 <= low <= high <= 1, got 0.6, 0.4",
+     lambda: generate_cascade(5, 2, np.random.default_rng(0), low=0.6,
+                              high=0.4)),
+    # agents
+    (ValueError, "need at least one arm, got 0", lambda: Agent(0, 10)),
+    (RuntimeError, "no rewards observed yet",
+     lambda: RewardPoolAgent(2, 10).current_pool()),
+    (RuntimeError, "warm-up features are rank deficient; auto_ridge needs a "
+     "full-rank warm-up Gram matrix", rank_deficient_auto_ridge),
+], ids=["beta-v-zero", "beta-mean-zero", "beta-mean-one",
+        "gaussian-sigma-negative", "mab-one-arm", "cascade-no-items",
+        "generate-cascade-low-above-high", "agent-no-arms",
+        "pool-before-any-reward", "auto-ridge-rank-deficient"])
+def test_other_error_messages(error, message, build):
+    """Error paths no other test runs, each pinned by its whole message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -33,6 +33,10 @@ class TestKLBernoulli:
     def test_closed_form_at_zero(self):
         assert kl_bernoulli(0.0, 0.5) == pytest.approx(-math.log(0.5))
 
+    def test_closed_form_at_one(self):
+        assert kl_bernoulli(1.0, 0.25) == -math.log(0.25)
+        assert kl_bernoulli(1.0, 0.0) == math.inf
+
     def test_infinite_against_pointmass(self):
         assert kl_bernoulli(0.5, 1.0) == math.inf
         assert kl_bernoulli(0.5, 0.0) == math.inf
