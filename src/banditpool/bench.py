@@ -119,11 +119,14 @@ class RunConfig:
         for spec in self.agents:
             if not spec.name:
                 raise ConfigError("agent.: agent name must be non-empty")
-            # A kind the table lacks is reported where the agent is built.
-            if (self.experiment, spec.kind) in AGENTS:
-                _check_fields(f"agent.{spec.name}", spec.params,
-                              AGENTS[self.experiment, spec.kind].params,
-                              _owner(self.experiment, spec.kind))
+            if (self.experiment, spec.kind) not in AGENTS:
+                kinds = ", ".join(k for e, k in AGENTS if e == self.experiment)
+                raise ConfigError(
+                    f"agent.{spec.name}.kind: {spec.kind!r} is not valid for "
+                    f"experiment {self.experiment!r}; expected one of {kinds}")
+            _check_fields(f"agent.{spec.name}", spec.params,
+                          AGENTS[self.experiment, spec.kind].params,
+                          _owner(self.experiment, spec.kind))
             if (spec.params.get("auto_ridge") is True
                     and "lambda" in spec.params):
                 raise ConfigError(
@@ -187,9 +190,13 @@ def parse_config(path) -> RunConfig:
     ignored, so a misspelt field cannot silently fall back to its default.
     Only what needs the INI text is checked here; RunConfig checks values.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    if not parser.read(path):
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {str(exc).splitlines()[0]}") from exc
+    if not read:
         raise ConfigError(f"{path}: cannot read config file")
     for section in parser.sections():
         if section not in ("run", "env", "sweep") and not section.startswith("agent."):
@@ -349,12 +356,7 @@ AGENTS = {
 def make_agent(spec: AgentSpec, config: RunConfig, env,
                rng: np.random.Generator):
     """Instantiate the policy named by ``spec`` for one run."""
-    entry = AGENTS.get((config.experiment, spec.kind))
-    if entry is None:
-        kinds = ", ".join(k for e, k in AGENTS if e == config.experiment)
-        raise ConfigError(
-            f"agent.{spec.name}.kind: {spec.kind!r} is not valid for "
-            f"experiment {config.experiment!r}; expected one of {kinds}")
+    entry = AGENTS[config.experiment, spec.kind]
     return entry.factory(env, config.horizon, rng, _Resolved(
         f"agent.{spec.name}", spec.params, entry.params, env))
 

@@ -20,7 +20,6 @@ DEFAULT_BETA_CONCENTRATION = 4.0
 DEFAULT_GAUSSIAN_STD = 0.5
 DEFAULT_ATTRACTION_LOW = 0.1
 DEFAULT_ATTRACTION_HIGH = 0.7
-LINEAR_MAX_TRIES = 100  # draws generate_linear makes before giving up
 
 
 def _in_unit_interval(values: np.ndarray) -> bool:
@@ -108,10 +107,9 @@ class MabInstance(_ArmInstance):
 class LinearInstance(_ArmInstance):
     """Arms with feature vectors; mean reward of arm i is ``x_i . theta``.
 
-    The trailing ``d`` feature rows must form a basis, which the generator
-    guarantees by rejection.  ``means`` is one product
-    ``features @ theta_star``, taken at construction: rewards are drawn
-    around it, and the gaps, and so the regret, are measured from it.
+    The trailing ``d`` feature rows must form a basis.  ``means`` is one
+    product ``features @ theta_star``, taken at construction: rewards are
+    drawn around it, and the gaps, and so the regret, are measured from it.
     """
 
     features: np.ndarray       # (K, d)
@@ -226,32 +224,26 @@ def generate_linear(n_arms: int, dim: int, family: str, rng: np.random.Generator
     of the mean range with a thin tail of poor arms.  The raw scores are
     affinely remapped onto [0.25, 0.75], folded into the model by appending a
     constant feature coordinate and rescaling the weights, so the instance is
-    exactly linear in ``dim`` dimensions.  Resamples until the trailing
-    ``dim`` feature rows form a basis.
+    exactly linear in ``dim`` dimensions.  One draw suffices: the draws are
+    continuous, so a tied score range or a rank-deficient trailing block has
+    probability zero, and ``LinearInstance`` owns the basis rule.
     """
     arms_cover_dim(n_arms, dim)
-    for _ in range(LINEAR_MAX_TRIES):
-        if dim == 1:
-            # No room for a constant coordinate: put the target means into
-            # the features directly and keep the parameter at 1.
-            features = rng.uniform(0.25, 0.75, size=(n_arms, 1))
-            theta = np.ones(1)
-        else:
-            raw = -rng.lognormal(0.0, 1.0, size=(n_arms, dim - 1))
-            theta_raw = rng.uniform(0.0, 1.0, size=dim - 1)
-            scores = raw @ theta_raw
-            lo, hi = float(scores.min()), float(scores.max())
-            if hi - lo < 1e-9:
-                continue
-            scale = 0.5 / (hi - lo)
-            offset = 0.25 - scale * lo
-            features = np.hstack([raw, np.ones((n_arms, 1))])
-            theta = np.concatenate([scale * theta_raw, [offset]])
-        if np.linalg.matrix_rank(features[-dim:]) == dim:
-            return LinearInstance(features=features, theta_star=theta,
-                                  family=family, v=v, sigma=sigma)
-    raise RuntimeError("failed to generate a linear instance with a feature "
-                       f"basis in {LINEAR_MAX_TRIES} tries")
+    if dim == 1:
+        # No room for a constant coordinate: put the target means into the
+        # features directly and keep the parameter at 1.
+        features = rng.uniform(0.25, 0.75, size=(n_arms, 1))
+        theta = np.ones(1)
+    else:
+        raw = -rng.lognormal(0.0, 1.0, size=(n_arms, dim - 1))
+        theta_raw = rng.uniform(0.0, 1.0, size=dim - 1)
+        scores = raw @ theta_raw
+        lo, hi = float(scores.min()), float(scores.max())
+        scale = 0.5 / (hi - lo)
+        features = np.hstack([raw, np.ones((n_arms, 1))])
+        theta = np.concatenate([scale * theta_raw, [0.25 - scale * lo]])
+    return LinearInstance(features=features, theta_star=theta, family=family,
+                          v=v, sigma=sigma)
 
 
 def generate_cascade(n_items: int, slate_size: int, rng: np.random.Generator,

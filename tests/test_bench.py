@@ -96,14 +96,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stride"):
             parse_config(write_config(tmp_path, text=body))
 
-    def test_unknown_kind_rejected_at_build(self, tmp_path):
-        body = BASE_CONFIG.replace("kind = ucb1", "kind = oracle")
+    def test_values_are_literal(self, tmp_path):
+        """``%`` has no meaning in a value: it is read as written."""
+        body = BASE_CONFIG.replace("out_dir = {out}", "out_dir = {out}%x")
         config = parse_config(write_config(tmp_path, text=body))
-        with pytest.raises(ConfigError, match=(
-                "^agent.ucb1.kind: 'oracle' is not valid for experiment 'mab'; "
-                "expected one of pool, ucb1, ucbv, bern_ts, gauss_ts, "
-                "bern_phe, gauss_phe$")):
-            collect_runs(config)
+        assert config.out_dir == f"{tmp_path / 'out'}%x"
 
     def test_sweep_section(self, tmp_path):
         path = write_config(tmp_path, sweep=["alpha = 0.4,0.6", "z = 0.5"])
@@ -293,6 +290,19 @@ class TestEnvKeys:
             small_config(tmp_path, experiment="ranking",
                          env={"queries_dir": "queries", "L": 6},
                          agents=(AgentSpec("a", "pool", {}),))
+
+    def test_too_few_query_files_names_the_run_field(self, tmp_path):
+        """A ConfigError raised while the instances are built keeps its own
+        field path; only a plain ValueError is given the section's."""
+        queries = tmp_path / "queries"
+        queries.mkdir()
+        (queries / "q0.txt").write_text("L=2 K=1\n0\t0.5\n1\t0.2\n")
+        config = small_config(tmp_path, experiment="ranking",
+                              env={"queries_dir": str(queries)},
+                              agents=(AgentSpec("a", "klucb", {}),))
+        with pytest.raises(ConfigError, match=(
+                f"^run.instances: only 1 query files in {re.escape(str(queries))}$")):
+            collect_runs(config)
 
     def test_bad_later_instance_fails_before_the_first_task(
             self, tmp_path, monkeypatch, capsys):
@@ -738,6 +748,28 @@ class TestCli:
             assert getattr(want, field) != value
             want = dataclasses.replace(want, **{field: value})
         assert ran == [want]
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[agent.ucb1]\n", "[agent.ucb1]\nkind = ucb1\n[agent.ucb1]\n",
+         "While reading from '{path}' [line 22]: section 'agent.ucb1' "
+         "already exists"),
+        ("\n[run]\n", "n = 120\n[run]\n", "File contains no section headers."),
+        ("seed = 77\n", "seed = 77\nseed = 78\n",
+         "While reading from '{path}' [line  8]: option 'seed' in section "
+         "'run' already exists"),
+        ("[env]\n", "[env]\n  K\n", "Source contains parsing errors: '{path}'"),
+    ], ids=["repeated-section", "key-before-header", "repeated-key",
+            "indented-line"])
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, old, new,
+                                              message):
+        """A file configparser cannot read ends the run like a bad value:
+        one line naming the file and exit status 2, with no traceback."""
+        assert old in BASE_CONFIG
+        path = write_config(tmp_path, text=BASE_CONFIG.replace(old, new, 1))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message.format(path=path)}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         path = write_config(tmp_path, sweep=["alpha = 0.5,0.7", "z = 0.6"])

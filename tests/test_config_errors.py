@@ -100,6 +100,11 @@ CASES = {
     "empty-name": ("agent.: agent name must be non-empty",
                    [("[agent.ucb1]", "[agent.]")],
                    {"agents": (POOL, AgentSpec("", "ucb1", {}))}),
+    "unknown-kind": ("agent.ucb1.kind: 'oracle' is not valid for experiment "
+                     "'mab'; expected one of pool, ucb1, ucbv, bern_ts, "
+                     "gauss_ts, bern_phe, gauss_phe",
+                     [("kind = ucb1", "kind = oracle")],
+                     {"agents": (POOL, AgentSpec("ucb1", "oracle", {}))}),
     "agent-key": ("agent.ucb1.c: unknown field for kind 'ucb1' in experiment "
                   "'mab'; expected one of (none)",
                   [("kind = ucb1", "kind = ucb1\nc = 1.0")],

@@ -153,6 +153,22 @@ class TestGenerateLinear:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.theta_star, b.theta_star)
 
+    @pytest.mark.parametrize("k, d", [(5, 1), (12, 4), (50, 10)])
+    def test_one_draw_per_instance(self, k, d):
+        """The generator reads exactly one draw of each kind from the stream:
+        ``k`` uniform means for d = 1, else ``k x (d-1)`` lognormal
+        coordinates, then ``d-1`` uniform weights."""
+        rng, direct = np.random.default_rng(k), np.random.default_rng(k)
+        inst = generate_linear(k, d, "gaussian", rng)
+        if d == 1:
+            np.testing.assert_array_equal(inst.features[:, 0],
+                                          direct.uniform(0.25, 0.75, size=k))
+        else:
+            np.testing.assert_array_equal(
+                inst.features[:, :-1], -direct.lognormal(0.0, 1.0, size=(k, d - 1)))
+            direct.uniform(0.0, 1.0, size=d - 1)
+        assert rng.bit_generator.state == direct.bit_generator.state
+
     def test_dimension_ordering_enforced(self):
         with pytest.raises(ValueError):
             generate_linear(3, 5, "gaussian", np.random.default_rng(0))
