@@ -183,6 +183,24 @@ _RUN_FIELDS = {
 }
 
 
+def _read_error(exc: configparser.Error) -> str:
+    """The line and the fault of an INI file configparser cannot read.
+
+    Built from the exception's fields: its message names the file, once or
+    twice, and puts a parsing error's line number on a second line.
+    """
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line!r} comes before any section header"
+    if isinstance(exc, configparser.ParsingError):
+        (lineno, line), count = exc.errors[0], len(exc.errors)
+        return f"line {lineno}: cannot parse {line}" + (
+            f" (first of {count} such lines)" if count > 1 else "")
+    what = (f"option {exc.option!r} in section {exc.section!r}"
+            if isinstance(exc, configparser.DuplicateOptionError)
+            else f"section {exc.section!r}")
+    return f"line {exc.lineno}: {what} already exists"
+
+
 def parse_config(path) -> RunConfig:
     """Parse an INI run configuration; raises ConfigError with a field path.
 
@@ -195,7 +213,7 @@ def parse_config(path) -> RunConfig:
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {str(exc).splitlines()[0]}") from exc
+        raise ConfigError(f"{path}: {_read_error(exc)}") from exc
     if not read:
         raise ConfigError(f"{path}: cannot read config file")
     for section in parser.sections():
@@ -445,21 +463,21 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# The writers stream their rows, so no list of every row is ever held.
+# ``tolist`` gives Python ints and floats, which ``csv`` writes as
+# ``str(int)`` and ``repr(float)``.
 def write_trace_csv(path: Path, results: list[RunResult]) -> None:
-    rows = []
-    for res in results:
-        for t, value in zip(res.rounds, res.cum_regret):
-            rows.append([res.agent, res.instance, res.run, int(t), repr(float(value))])
-    _write_csv(path, TRACE_COLUMNS, rows)
+    _write_csv(path, TRACE_COLUMNS, (
+        (res.agent, res.instance, res.run, t, value) for res in results
+        for t, value in zip(res.rounds.tolist(), res.cum_regret.tolist())))
 
 
 def write_aggregate_csv(path: Path, aggregates: dict) -> None:
-    rows = []
-    for agent, agg in aggregates.items():
-        for t, mean, std in zip(agg["rounds"], agg["mean"], agg["std"]):
-            rows.append([agent, int(t), repr(float(mean)), repr(float(std)),
-                         agg["n_runs"]])
-    _write_csv(path, AGGREGATE_COLUMNS, rows)
+    _write_csv(path, AGGREGATE_COLUMNS, (
+        (agent, t, mean, std, agg["n_runs"])
+        for agent, agg in aggregates.items()
+        for t, mean, std in zip(agg["rounds"].tolist(), agg["mean"].tolist(),
+                                agg["std"].tolist())))
 
 
 def run_experiment(config: RunConfig) -> dict:

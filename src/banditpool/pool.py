@@ -65,9 +65,7 @@ def build_pool(rewards, alpha: float) -> RewardPool:
     each value is formed as ``(y_l - y_1) - mean(y - y_1)``, so a large
     offset common to every reward is removed before the mean is rounded.
     """
-    r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1:
-        r = r.ravel()
+    r = np.asarray(rewards, dtype=float).ravel()
     m = r.size
     if m == 0:
         raise ValueError("cannot build a reward pool from an empty history")

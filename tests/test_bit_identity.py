@@ -324,7 +324,8 @@ class TestPerOwnerCallSites:
             return
         finite = np.isfinite(old)
         assert np.array_equal(np.isfinite(new), finite)
-        assert np.all(np.abs(new - old)[finite] <= POOL_RTOL * bound[finite])
+        assert np.all(np.abs(new[finite] - old[finite])
+                      <= POOL_RTOL * bound[finite])
 
     @settings(deadline=None, max_examples=200)
     @given(cascade_histories(), alphas, st.integers(0, 2**32))
