@@ -26,26 +26,20 @@ from .pool import RewardPool, build_pool, variance_floor_threshold
 
 @dataclass(frozen=True)
 class PoolParams:
-    """Knobs of the reward-pool agents.
+    """Knobs of the reward pool that every pool agent shares.
 
     ``alpha`` scales the pool values and therefore the perturbation size;
     ``z`` sets the fraction of the reward variance the warm-up must secure,
-    which in turn fixes the warm-up length.  ``ridge_lambda`` regularizes the
-    linear fit; zero is allowed only for diagnostics (the one-hot reduction),
-    production use should keep it positive.  With ``auto_ridge`` the linear
-    agent derives the regularizer from the smallest eigenvalue of the warm-up
-    Gram matrix instead of using ``ridge_lambda``.
+    which in turn fixes the warm-up length.  The linear agent takes its
+    ridge regularizer as an argument of its own.
     """
 
     alpha: float = 0.6
     z: float = 0.6
-    ridge_lambda: float = 1.0
-    auto_ridge: bool = False
 
     def __post_init__(self) -> None:
         positive_finite("alpha", self.alpha)
         strictly_inside_unit("z", self.z)
-        nonnegative_finite("ridge_lambda", self.ridge_lambda)
 
 
 def init_length(horizon: int, z: float, dims: int) -> int:
@@ -365,24 +359,31 @@ class _PerturbedLinearAgent(_LinearAgent):
 class LinRewardPoolAgent(_PoolExploration, _PerturbedLinearAgent):
     """Linear bandit agent: pool-perturbed ridge regression, greedy argmax.
 
-    The ridge term joins the Gram matrix at the first round after the
-    warm-up, so that ``auto_ridge`` can read the warm-up Gram matrix.
+    ``ridge_lambda`` regularizes the fit.  Zero is allowed only for
+    diagnostics (the one-hot reduction to the multi-armed agent);
+    production use keeps it positive.  ``"auto"`` derives it from the
+    smallest eigenvalue of the warm-up Gram matrix, which is why the ridge
+    term joins the Gram matrix at the first round after the warm-up.
     """
 
     def __init__(self, features: np.ndarray, horizon: int,
                  params: PoolParams = PoolParams(),
-                 rng: np.random.Generator | None = None) -> None:
+                 rng: np.random.Generator | None = None,
+                 ridge_lambda: float | str = 1.0) -> None:
+        if ridge_lambda != "auto":
+            nonnegative_finite("ridge_lambda", ridge_lambda)
         super().__init__(features, horizon)
         self._start_pool(params, rng, self.dim)
+        self._ridge = ridge_lambda
 
     def _ridge_value(self) -> float:
-        if not self.params.auto_ridge:
-            return self.params.ridge_lambda
+        if self._ridge != "auto":
+            return self._ridge
         smallest = float(np.linalg.eigvalsh(self.state.gram)[0])
         if smallest <= 0:
             raise RuntimeError(
-                "warm-up features are rank deficient; auto_ridge needs a "
-                "full-rank warm-up Gram matrix")
+                "warm-up features are rank deficient; ridge_lambda 'auto' "
+                "needs a full-rank warm-up Gram matrix")
         # Fixed point of lam = min_eig(G0 + lam I) / 4 for the regularized gram.
         return smallest / 3.0
 

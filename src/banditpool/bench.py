@@ -127,12 +127,6 @@ class RunConfig:
             _check_fields(f"agent.{spec.name}", spec.params,
                           AGENTS[self.experiment, spec.kind].params,
                           _owner(self.experiment, spec.kind))
-            if (spec.params.get("auto_ridge") is True
-                    and "lambda" in spec.params):
-                raise ConfigError(
-                    f"agent.{spec.name}.lambda: not read with "
-                    f"agent.{spec.name}.auto_ridge, which derives the ridge "
-                    "regularizer from the warm-up Gram matrix")
         _check_fields("env", self.env, ENVS[self.experiment].params,
                       _owner(self.experiment))
         extra = [key for key in self.env if key != "queries_dir"]
@@ -155,15 +149,8 @@ class RunResult:
     cum_regret: np.ndarray
 
 
-def _coerce(raw: str, path: str, kind: type):
+def _coerce(raw: str, path: str, kind):
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{path}: cannot parse {raw!r} as {kind.__name__}") from exc
@@ -211,9 +198,12 @@ def parse_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {_read_error(exc)}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
+                          f"{exc.object[exc.start]:#04x}") from exc
     if not read:
         raise ConfigError(f"{path}: cannot read config file")
     for section in parser.sections():
@@ -328,6 +318,13 @@ AgentEntry = namedtuple("AgentEntry", "factory params")
 _POOL_KEYS = {"alpha": (float, 0.6), "z": (float, 0.6)}
 _LAMBDA = {"lambda": (float, 1.0)}
 
+
+def float_or_auto(raw: str) -> float | str:
+    """The linear pool agent's ``lambda``: a float, or ``auto`` to derive it
+    from the warm-up Gram matrix."""
+    return raw if raw == "auto" else float(raw)
+
+
 AGENTS = {
     ("mab", "pool"): AgentEntry(lambda env, n, rng, p: agents_mod.RewardPoolAgent(
         env.n_arms, n, agents_mod.PoolParams(p["alpha"], p["z"]), rng), _POOL_KEYS),
@@ -347,9 +344,8 @@ AGENTS = {
     ("mab", "gauss_phe"): AgentEntry(lambda env, n, rng, p: baselines.GaussianPHEAgent(
         env.n_arms, n, p["a"], rng), {"a": (float, 1.0)}),
     ("linear", "pool"): AgentEntry(lambda env, n, rng, p: agents_mod.LinRewardPoolAgent(
-        env.features, n, agents_mod.PoolParams(
-            p["alpha"], p["z"], p["lambda"], p["auto_ridge"]), rng),
-        {**_POOL_KEYS, **_LAMBDA, "auto_ridge": (bool, False)}),
+        env.features, n, agents_mod.PoolParams(p["alpha"], p["z"]), rng,
+        p["lambda"]), {**_POOL_KEYS, "lambda": (float_or_auto, 1.0)}),
     ("linear", "linucb"): AgentEntry(lambda env, n, rng, p: baselines.LinUCBAgent(
         env.features, n, p["c"], p["lambda"]), {"c": (float, 1.0), **_LAMBDA}),
     ("linear", "lints"): AgentEntry(lambda env, n, rng, p: baselines.LinTSAgent(

@@ -61,9 +61,6 @@ class _ArmInstance:
     def n_arms(self) -> int:
         return self.means.size
 
-    def mean_rewards(self) -> np.ndarray:
-        return self.means
-
     def sample_reward(self, arm: int, rng: np.random.Generator) -> float:
         if not 0 <= arm < self.n_arms:
             raise IndexError(f"arm {arm} out of range [0, {self.n_arms})")
@@ -72,8 +69,7 @@ class _ArmInstance:
 
     def gaps(self) -> np.ndarray:
         """Per-arm suboptimality: best mean minus each arm's mean."""
-        means = self.mean_rewards()
-        return float(means.max()) - means
+        return float(self.means.max()) - self.means
 
     @cached_property
     def _gap_list(self) -> list[float]:

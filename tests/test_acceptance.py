@@ -164,9 +164,8 @@ def test_criterion4_one_hot_reduction():
         for agent in (
             RewardPoolAgent(n_arms, horizon, PoolParams(),
                             np.random.default_rng(seed)),
-            LinRewardPoolAgent(np.eye(n_arms), horizon,
-                               PoolParams(ridge_lambda=0.0),
-                               np.random.default_rng(seed)),
+            LinRewardPoolAgent(np.eye(n_arms), horizon, PoolParams(),
+                               np.random.default_rng(seed), ridge_lambda=0.0),
         ):
             actions = []
             for t in range(1, horizon + 1):

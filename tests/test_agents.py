@@ -44,7 +44,7 @@ class TestInitLength:
 class TestPoolParams:
     def test_defaults(self):
         params = PoolParams()
-        assert (params.alpha, params.z, params.ridge_lambda) == (0.6, 0.6, 1.0)
+        assert (params.alpha, params.z) == (0.6, 0.6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,10 +52,11 @@ class TestPoolParams:
         with pytest.raises(ValueError):
             PoolParams(z=1.0)
         with pytest.raises(ValueError):
-            PoolParams(ridge_lambda=-0.1)
+            LinRewardPoolAgent(np.eye(2), 10, ridge_lambda=-0.1)
 
     def test_zero_ridge_allowed_for_diagnostics(self):
-        assert PoolParams(ridge_lambda=0.0).ridge_lambda == 0.0
+        agent = LinRewardPoolAgent(np.eye(2), 10, ridge_lambda=0.0)
+        assert agent._ridge_value() == 0.0
 
 
 class TestPerturbedMeanEstimates:
@@ -92,8 +93,8 @@ def make_pool_agent(kind, horizon, seed):
     rng = np.random.default_rng(seed)
     if kind == "mab":
         return RewardPoolAgent(6, horizon, PoolParams(), rng)
-    params = PoolParams(auto_ridge=kind == "linear_auto_ridge")
-    return LinRewardPoolAgent(FEATURES, horizon, params, rng)
+    ridge_lambda = "auto" if kind == "linear_auto_ridge" else 1.0
+    return LinRewardPoolAgent(FEATURES, horizon, PoolParams(), rng, ridge_lambda)
 
 
 def replay_affine(agent, table, a, b):
@@ -394,7 +395,7 @@ class TestLinearModelState:
         arms = [0, 1, 0]
         ys = np.array([1.0, 0.5, 0.0])
         noise = np.array([0.2, -0.1, 0.3])
-        agent = LinRewardPoolAgent(np.eye(2), 3, PoolParams(ridge_lambda=0.0))
+        agent = LinRewardPoolAgent(np.eye(2), 3, ridge_lambda=0.0)
         observe(agent, arms, ys)
         agent.state.regularize(0.0)
         theta = agent._perturbed_fit(np.bincount(arms, noise, 2))
@@ -466,9 +467,9 @@ class TestLinRewardPoolAgent:
         for seed in range(3):
             mab = RewardPoolAgent(n_arms, horizon, PoolParams(),
                                   np.random.default_rng(seed))
-            lin = LinRewardPoolAgent(np.eye(n_arms), horizon,
-                                     PoolParams(ridge_lambda=0.0),
-                                     np.random.default_rng(seed))
+            lin = LinRewardPoolAgent(np.eye(n_arms), horizon, PoolParams(),
+                                     np.random.default_rng(seed),
+                                     ridge_lambda=0.0)
             assert mab.init_rounds == lin.init_rounds <= horizon - 500
             seqs = []
             for agent in (mab, lin):
@@ -483,9 +484,8 @@ class TestLinRewardPoolAgent:
 
     def test_auto_ridge_matches_quarter_of_smallest_eigenvalue(self):
         features = np.random.default_rng(23).normal(size=(3, 3))
-        agent = LinRewardPoolAgent(features, 200,
-                                   PoolParams(auto_ridge=True),
-                                   np.random.default_rng(4))
+        agent = LinRewardPoolAgent(features, 200, PoolParams(),
+                                   np.random.default_rng(4), ridge_lambda="auto")
         run_linear(agent, features, np.array([0.2, 0.1, 0.05]), 200,
                    np.random.default_rng(5))
         lam = agent.state.ridge_lambda

@@ -207,13 +207,6 @@ class TestAgentKeys:
         pytest.param("[run]\nexperiment = mab\nn = 120\ninstances = 2\n"
                      "runs = 2\nseed = -1\nout_dir = {out}",
                      "^run.seed: must be >= 0$", id="run-negative-seed"),
-        pytest.param("[run]\nexperiment = linear\nn = 120\ninstances = 1\n"
-                     "runs = 1\nseed = 1\nout_dir = {out}\n[env]\n"
-                     "family = gaussian\nK = 4\nd = 2\n[agent.ucb1]\n"
-                     "kind = linucb\n[agent.pool]\nkind = pool\n"
-                     "auto_ridge = true\nlambda = 5",
-                     "^agent.pool.lambda: not read with agent.pool.auto_ridge",
-                     id="agent-lambda-with-auto-ridge"),
     ])
     def test_bad_agent_fails_before_the_first_task(self, tmp_path, monkeypatch,
                                                    capsys, line, field):
@@ -777,15 +770,22 @@ class TestCli:
         ("[env]\n", "[env]\n  K\n", "line 12: cannot parse '  K\\n'"),
         ("[env]\n", "[env]\nK\nL\n",
          "line 12: cannot parse 'K\\n' (first of 2 such lines)"),
+        ("family = gaussian", "family = gaussian # \xe9t\xe9",
+         "not UTF-8 text: cannot decode byte 0xe9"),
     ], ids=["repeated-section", "key-before-header", "repeated-key",
-            "indented-line", "two-unparsable-lines"])
+            "indented-line", "two-unparsable-lines", "not-utf-8"])
     def test_malformed_file_is_one_error_line(self, tmp_path, capsys, old, new,
                                               message):
-        """A file configparser cannot read ends the run like a bad value:
-        one line naming the file once, then the line number and the fault,
-        and exit status 2, with no traceback."""
+        """A file configparser cannot read, or cannot decode as UTF-8, ends
+        the run like a bad value: one line naming the file once, then the
+        line number, where configparser gives one, and the fault, and exit
+        status 2, with no traceback."""
         assert old in BASE_CONFIG
-        path = write_config(tmp_path, text=BASE_CONFIG.replace(old, new, 1))
+        path = tmp_path / "run.ini"
+        # Latin-1 writes the ASCII cases as they are, and "\xe9" as the one
+        # byte 0xE9, which is not UTF-8.
+        path.write_text(BASE_CONFIG.replace(old, new, 1).format(
+            out=tmp_path / "out"), encoding="latin-1")
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: {message}\n"

@@ -9,6 +9,7 @@ which checks what depends on the swept agent's kind before any cell runs.
 
 import re
 
+import numpy as np
 import pytest
 
 from banditpool import bench
@@ -170,23 +171,47 @@ def test_the_two_base_configs_are_one_config(tmp_path):
     assert parse_config(ini_file(tmp_path, [])) == python_config(tmp_path, {})
 
 
-def auto_ridge(spelling):
-    """INI edits for a linear pool agent whose auto_ridge reads ``spelling``."""
-    return [("= mab", "= linear"), ("K = 4", "K = 4\nd = 2"),
-            ("kind = pool", f"kind = pool\nauto_ridge = {spelling}"),
-            ("[agent.ucb1]\nkind = ucb1\n", "")]
+def linear_pool(ridge):
+    """INI edits that leave one linear pool agent, whose lambda reads
+    ``ridge``, and the same config's RunConfig fields."""
+    return ([("= mab", "= linear"), ("K = 4", "K = 4\nd = 2"),
+             ("kind = pool", f"kind = pool\nlambda = {ridge}"),
+             ("[agent.ucb1]\nkind = ucb1\n", "")],
+            {"experiment": "linear", "env": {"family": "gaussian", "K": 4, "d": 2},
+             "agents": (AgentSpec("pool", "pool", {"lambda": ridge}),)})
 
 
-@pytest.mark.parametrize("spelling, value", [
-    ("true", True), ("Yes", True), ("1", True),
-    ("false", False), ("No", False), ("0", False),
-])
-def test_bool_spellings(tmp_path, spelling, value):
-    config = parse_config(ini_file(tmp_path, auto_ridge(spelling)))
-    assert config.agents[0].params["auto_ridge"] is value
+def test_auto_lambda_is_one_config_and_read_from_the_warm_up(tmp_path):
+    """``lambda = auto`` and ``{"lambda": "auto"}`` give one config, whose
+    agent regularizes with a third of the warm-up Gram matrix's smallest
+    eigenvalue at its first fit."""
+    edits, fields = linear_pool("auto")
+    # A horizon that outlasts the warm-up.
+    config = parse_config(ini_file(tmp_path, [*edits, ("n = 120", "n = 1000")]))
+    assert config == python_config(tmp_path, {**fields, "horizon": 1000})
+    env = bench.make_env(config, 0)
+    agent = bench.make_agent(config.agents[0], config, env,
+                             np.random.default_rng(0))
+    env_rng = np.random.default_rng(1)
+    for t in range(1, agent.init_rounds + 1):
+        arm = agent.select(t)
+        agent.update(t, arm, env.play(arm, env_rng)[0])
+    warm_up = agent.state.gram.copy()
+    agent.select(agent.init_rounds + 1)
+    assert agent.state.ridge_lambda == np.linalg.eigvalsh(warm_up)[0] / 3.0
 
 
-def test_unparsable_bool_names_the_field(tmp_path):
+def test_unparsable_lambda_names_the_field(tmp_path):
     with pytest.raises(ConfigError, match=(
-            "^agent.pool.auto_ridge: cannot parse 'maybe' as bool$")):
-        parse_config(ini_file(tmp_path, auto_ridge("maybe")))
+            "^agent.pool.lambda: cannot parse 'automatic' as float_or_auto$")):
+        parse_config(ini_file(tmp_path, linear_pool("automatic")[0]))
+
+
+def test_negative_lambda_raises_one_message_from_both_paths(tmp_path):
+    """The agent's own rule, met when the run builds it, before any task."""
+    message = "agent.pool: ridge_lambda must be >= 0 and finite, got -1.0"
+    for config in (parse_config(ini_file(tmp_path, linear_pool(-1)[0])),
+                   python_config(tmp_path, linear_pool(-1.0)[1])):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            bench.run_experiment(config)
+    assert not (tmp_path / "out").exists()

@@ -80,7 +80,7 @@ class TestGaps:
     def test_two_arm_example(self):
         inst = MabInstance(means=[0.7, 0.4], family="bernoulli")
         np.testing.assert_allclose(inst.gaps(), [0.0, 0.3])
-        assert int(np.argmax(inst.mean_rewards())) == 0
+        assert int(np.argmax(inst.means)) == 0
 
     def test_all_equal(self):
         inst = MabInstance(means=[0.5, 0.5, 0.5], family="gaussian")
@@ -99,13 +99,13 @@ class TestGaps:
             inst = generate_mab(int(rng.integers(2, 12)), "gaussian", rng)
             gaps = inst.gaps()
             assert np.all(gaps >= 0.0)
-            assert gaps[int(np.argmax(inst.mean_rewards()))] == 0.0
+            assert gaps[int(np.argmax(inst.means))] == 0.0
 
 
 class TestGenerateLinear:
     def test_benchmark_shape(self):
         inst = generate_linear(50, 10, "gaussian", np.random.default_rng(1))
-        means = inst.mean_rewards()
+        means = inst.means
         assert means.shape == (50,)
         assert np.all((means >= 0.0) & (means <= 1.0))
         assert means.max() == pytest.approx(0.75)
@@ -120,7 +120,7 @@ class TestGenerateLinear:
         for i in range(3):
             direct = float(np.dot(inst.features[i], inst.theta_star))
             assert 0.0 <= direct <= 1.0
-            assert inst.mean_rewards()[i] == pytest.approx(direct)
+            assert inst.means[i] == pytest.approx(direct)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "beta"])
     def test_rewards_drawn_around_the_reported_means(self, family, monkeypatch):
@@ -139,13 +139,13 @@ class TestGenerateLinear:
             for arm in range(k):
                 handed.clear()
                 inst.sample_reward(arm, rng)
-                assert handed == [inst.mean_rewards()[arm]]
-                assert inst.gaps()[arm] == inst.mean_rewards().max() - handed[0]
+                assert handed == [inst.means[arm]]
+                assert inst.gaps()[arm] == inst.means.max() - handed[0]
 
     def test_one_dimensional_case(self):
         inst = generate_linear(5, 1, "gaussian", np.random.default_rng(4))
         assert inst.features.shape == (5, 1)
-        assert np.all((inst.mean_rewards() >= 0.25) & (inst.mean_rewards() <= 0.75))
+        assert np.all((inst.means >= 0.25) & (inst.means <= 0.75))
 
     def test_seed_determinism(self):
         a = generate_linear(6, 3, "beta", np.random.default_rng(11))

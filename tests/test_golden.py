@@ -54,7 +54,7 @@ AGENTS = {
     ),
     "linear": (
         AgentSpec("pool", "pool", {}),
-        AgentSpec("pool_auto", "pool", {"auto_ridge": True}),
+        AgentSpec("pool_auto", "pool", {"lambda": "auto"}),
         AgentSpec("linucb", "linucb", {}),
         AgentSpec("lints", "lints", {}),
         AgentSpec("linphe", "linphe", {}),

@@ -104,30 +104,29 @@ def reference_lints_sample(gram, xy_sum, sigma_ts, rng):
     return theta_hat + sigma_ts * noise
 
 
-@pytest.mark.parametrize("params", [PoolParams(), PoolParams(auto_ridge=True),
-                                    PoolParams(ridge_lambda=0.25)],
+@pytest.mark.parametrize("ridge_lambda", [1.0, "auto", 0.25],
                          ids=["lambda1", "auto", "lambda0.25"])
 @settings(deadline=None, max_examples=40)
 @given(history=histories(), split=st.floats(0.0, 1.0))
-def test_pool_agent_matches_stored_row_fit(params, history, split):
+def test_pool_agent_matches_stored_row_fit(ridge_lambda, history, split):
     """Two fits, at the first-fit split and at the end of the history."""
     features, arms, rewards = history
     first_fit = max(len(features), int(split * len(arms)))
-    agent = LinRewardPoolAgent(features, len(arms) + 1, params,
-                               np.random.default_rng(0))
+    agent = LinRewardPoolAgent(features, len(arms) + 1, PoolParams(),
+                               np.random.default_rng(0), ridge_lambda)
     xs, ys = features[arms], rewards
     fits = 0
     for stop in (first_fit, len(arms)):
         observe(agent, arms[fits:stop], ys[fits:stop], start=fits + 1)
         fits = stop
         if fits == first_fit:
-            lam = (reference_auto_ridge(xs[:first_fit]) if params.auto_ridge
-                   else params.ridge_lambda)
+            lam = (reference_auto_ridge(xs[:first_fit])
+                   if ridge_lambda == "auto" else ridge_lambda)
         gram, xy_sum = reference_pool_statistics(lam, xs[:stop], ys[:stop],
                                                  first_fit)
         rng = copy.deepcopy(agent.rng)
         scores = agent._scores(stop + 1)
-        draws = build_pool(ys[:stop], params.alpha).draw(stop, rng)
+        draws = build_pool(ys[:stop], PoolParams().alpha).draw(stop, rng)
         rows = arm_ordered_rows(features, arms[:stop])
         old = features @ reference_perturbed_fit(gram, xy_sum, rows, draws)
         assert_agrees(scores, old)

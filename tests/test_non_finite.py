@@ -69,9 +69,9 @@ def nan_reward():
      lambda: PoolParams(alpha=INF)),
     ("z must lie strictly inside (0, 1), got nan", lambda: PoolParams(z=NAN)),
     ("ridge_lambda must be >= 0 and finite, got nan",
-     lambda: PoolParams(ridge_lambda=NAN)),
+     lambda: LinRewardPoolAgent(FEATURES, 10, ridge_lambda=NAN)),
     ("ridge_lambda must be >= 0 and finite, got inf",
-     lambda: PoolParams(ridge_lambda=INF)),
+     lambda: LinRewardPoolAgent(FEATURES, 10, ridge_lambda=INF)),
     ("alpha must be positive and finite, got nan",
      lambda: build_pool([0.0, 1.0], NAN)),
     ("ridge_lambda must be >= 0 and finite, got nan",
@@ -154,7 +154,7 @@ def test_linear_agent_features(cls):
      lambda: PoolParams(alpha=0.0)),
     ("z must lie strictly inside (0, 1), got 1.0", lambda: PoolParams(z=1.0)),
     ("ridge_lambda must be >= 0 and finite, got -1.0",
-     lambda: PoolParams(ridge_lambda=-1.0)),
+     lambda: LinRewardPoolAgent(FEATURES, 10, ridge_lambda=-1.0)),
     ("horizon must be >= 1, got 0", lambda: init_length(0, 0.6, 1)),
     ("z must lie strictly inside (0, 1), got 0.0",
      lambda: init_length(100, 0.0, 1)),
@@ -287,7 +287,7 @@ def test_each_rule_is_written_only_in_the_rules_module(template):
 def rank_deficient_auto_ridge():
     """Warm up a ridge-deriving agent on features whose second column is 0."""
     agent = LinRewardPoolAgent(np.array([[1.0, 0.0], [2.0, 0.0]]), 300,
-                               PoolParams(auto_ridge=True), np.random.default_rng(0))
+                               rng=np.random.default_rng(0), ridge_lambda="auto")
     for t in range(1, 301):
         agent.update(t, agent.select(t), 0.5)
 
@@ -313,8 +313,8 @@ def rank_deficient_auto_ridge():
     (ValueError, "need at least one arm, got 0", lambda: Agent(0, 10)),
     (RuntimeError, "no rewards observed yet",
      lambda: RewardPoolAgent(2, 10).current_pool()),
-    (RuntimeError, "warm-up features are rank deficient; auto_ridge needs a "
-     "full-rank warm-up Gram matrix", rank_deficient_auto_ridge),
+    (RuntimeError, "warm-up features are rank deficient; ridge_lambda 'auto' "
+     "needs a full-rank warm-up Gram matrix", rank_deficient_auto_ridge),
 ], ids=["beta-v-zero", "beta-mean-zero", "beta-mean-one",
         "gaussian-sigma-negative", "mab-one-arm", "cascade-no-items",
         "generate-cascade-low-above-high", "agent-no-arms",

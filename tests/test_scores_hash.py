@@ -15,7 +15,7 @@ tied to the numpy, scipy and BLAS/LAPACK builds they were recorded with
 (numpy 2.4.6, scipy 1.17.1, OpenBLAS on x86-64).
 
 A second table gates the linear paths that default parameters never run
-(``auto_ridge``, a zero ridge, Bernoulli LinPHE pseudo rewards); its values
+(``lambda = auto``, a zero ridge, Bernoulli LinPHE pseudo rewards); its values
 were recorded before the four linear kinds came to share one linear model.
 
 Six linear values were re-recorded on top of commit c17c7d7, when the linear
@@ -85,7 +85,7 @@ SCORES_SHA256 = {
 # Linear paths the default parameters leave untouched, on the same episode:
 # name (the agent name that seeds its stream) -> (kind, params, SHA-256).
 LINEAR_VARIANT_SHA256 = {
-    "pool_auto": ("pool", {"auto_ridge": True},
+    "pool_auto": ("pool", {"lambda": "auto"},
                   "9d993695de1b258bfd80d5949099e7a8ea7535377e1882925731e439286c7721"),
     "pool_lambda0": ("pool", {"lambda": 0.0},
                      "8e249ec32eb374714852e90e4d806615200d99ade1329afc8e087a8d2fae3de1"),
