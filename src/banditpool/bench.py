@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import hashlib
 import itertools
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,16 @@ def _check_fields(path: str, given, params, owner: str = "") -> None:
             raise ConfigError(
                 f"{path}.{key}: unknown field{owner}; expected one of "
                 f"{', '.join(params) or '(none)'}")
+
+
+def _check_values(path: str, given, params, owner: str) -> None:
+    """Reject a key ``params`` does not list, or a value of a type its
+    coercer does not produce, as a config built in Python may hold."""
+    _check_fields(path, given, params, owner)
+    for key, value in given.items():
+        what, accepts = _VALUE_TYPES[params[key][0]]
+        if not accepts(value):
+            raise ConfigError(f"{path}.{key}: must be {what}, got {value!r}")
 
 
 def _owner(experiment: str, kind: str | None = None) -> str:
@@ -124,10 +135,10 @@ class RunConfig:
                 raise ConfigError(
                     f"agent.{spec.name}.kind: {spec.kind!r} is not valid for "
                     f"experiment {self.experiment!r}; expected one of {kinds}")
-            _check_fields(f"agent.{spec.name}", spec.params,
+            _check_values(f"agent.{spec.name}", spec.params,
                           AGENTS[self.experiment, spec.kind].params,
                           _owner(self.experiment, spec.kind))
-        _check_fields("env", self.env, ENVS[self.experiment].params,
+        _check_values("env", self.env, ENVS[self.experiment].params,
                       _owner(self.experiment))
         extra = [key for key in self.env if key != "queries_dir"]
         if "queries_dir" in self.env and extra:
@@ -324,6 +335,21 @@ def float_or_auto(raw: str) -> float | str:
     from the warm-up Gram matrix."""
     return raw if raw == "auto" else float(raw)
 
+
+def _number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind`` number; a bool is not one here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# What each table type's coercer produces, and so what a config built in
+# Python may give a key of that type.
+_VALUE_TYPES = {
+    int: ("an int", lambda v: _number(v, numbers.Integral)),
+    float: ("a number", _number),
+    float_or_auto: ("a number or 'auto'",
+                    lambda v: _number(v) or isinstance(v, str) and v == "auto"),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 AGENTS = {
     ("mab", "pool"): AgentEntry(lambda env, n, rng, p: agents_mod.RewardPoolAgent(

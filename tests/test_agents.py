@@ -1,11 +1,15 @@
 """Reward-pool agents: warm-up schedule, perturbed estimates, ridge state."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from banditpool.agents import (
     Agent,
@@ -13,6 +17,7 @@ from banditpool.agents import (
     LinRewardPoolAgent,
     PoolParams,
     RewardPoolAgent,
+    _lapack,
     init_length,
     perturbed_mean_estimates,
     ridge_solve,
@@ -296,6 +301,47 @@ class TestRidgeSolve:
         target = rng.normal(size=5)
         np.testing.assert_allclose(ridge_solve(gram, target),
                                    np.linalg.solve(gram, target), rtol=1e-10)
+
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+@pytest.fixture
+def cold_lapack(monkeypatch):
+    """``_lapack`` as on a first solve that finds no LAPACK module loaded;
+    the loaded module and a fresh cache are put back afterwards."""
+    monkeypatch.delitem(sys.modules, FLAPACK)
+    _lapack.cache_clear()
+    yield monkeypatch
+    _lapack.cache_clear()
+
+
+class TestLapackLoad:
+    """``_lapack`` loads the extension file itself, not ``scipy.linalg``.
+
+    This process imported ``scipy.linalg`` long ago, so each test drops the
+    extension from ``sys.modules`` first; CPython loads it again as a new
+    module holding the same function objects.
+    """
+
+    def test_cold_load_gives_scipy_linalg_lapack_functions(self, cold_lapack):
+        module = _lapack()
+        assert sys.modules[FLAPACK] is module
+        for name in ("dpotrf", "dpotrs", "dtrtrs"):
+            assert getattr(module, name) is getattr(lapack, name)
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(10, 10))
+        gram, rhs = a @ a.T + np.eye(10), rng.normal(size=10)
+        assert np.array_equal(ridge_solve(gram, rhs),
+                              reference_ridge_solve(gram, rhs))
+
+    def test_missing_extension_names_the_folder(self, cold_lapack, tmp_path):
+        cold_lapack.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        folder = tmp_path / "linalg"
+        with pytest.raises(ImportError, match=(
+                f"^no _flapack extension module in {re.escape(str(folder))}$")):
+            _lapack()
+        assert FLAPACK not in sys.modules
 
 
 class FixedThetaAgent(Agent):

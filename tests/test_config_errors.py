@@ -46,6 +46,12 @@ FIELDS = dict(experiment="mab", env={"family": "gaussian", "K": 4},
               agents=(POOL, UCB1), horizon=120, instances=2, runs=2, seed=77)
 
 
+def linear_agent(kind, params, name="pool"):
+    """RunConfig fields of a linear run of one agent."""
+    return {"experiment": "linear", "env": {"family": "gaussian", "K": 4, "d": 2},
+            "agents": (AgentSpec(name, kind, params),)}
+
+
 def with_sweep(*lines):
     """An INI edit that adds a [sweep] section holding ``lines``."""
     return ("[agent.pool]", "\n".join(["[sweep]", *lines, "", "[agent.pool]"]))
@@ -122,6 +128,21 @@ CASES = {
     "empty-z": ("sweep.z: grid must be nonempty",
                 [with_sweep("alpha = 0.5", "z =")],
                 {"sweep": {"alpha": [0.5], "z": []}}),
+    # A value of a type its key's coercer never makes: only Python can give
+    # one, as INI text is parsed into that type or fails ("run-type" below).
+    "agent-str-for-float": ("agent.pool.alpha: must be a number, got '0.5'", None,
+                            {"agents": (AgentSpec("pool", "pool", {"alpha": "0.5"}),
+                                        UCB1)}),
+    "agent-bool-for-float": ("agent.pool.z: must be a number, got True", None,
+                             {"agents": (AgentSpec("pool", "pool", {"z": True}),
+                                         UCB1)}),
+    "agent-lambda-not-auto": ("agent.pool.lambda: must be a number or 'auto', "
+                              "got 'automatic'", None,
+                              linear_agent("pool", {"lambda": "automatic"})),
+    "agent-number-for-str": ("agent.phe.pseudo: must be a string, got 1", None,
+                             linear_agent("linphe", {"pseudo": 1}, name="phe")),
+    "env-float-for-int": ("env.K: must be an int, got 4.0", None,
+                          {"env": {"family": "gaussian", "K": 4.0}}),
     # Rules on the swept agent's kind: parameter_sweep's, met by both paths.
     "sweep-ambiguous": ("sweep.agent: required when the pool agent is ambiguous",
                         [with_sweep("alpha = 0.5", "z = 0.5"),
@@ -177,8 +198,7 @@ def linear_pool(ridge):
     return ([("= mab", "= linear"), ("K = 4", "K = 4\nd = 2"),
              ("kind = pool", f"kind = pool\nlambda = {ridge}"),
              ("[agent.ucb1]\nkind = ucb1\n", "")],
-            {"experiment": "linear", "env": {"family": "gaussian", "K": 4, "d": 2},
-             "agents": (AgentSpec("pool", "pool", {"lambda": ridge}),)})
+            linear_agent("pool", {"lambda": ridge}))
 
 
 def test_auto_lambda_is_one_config_and_read_from_the_warm_up(tmp_path):

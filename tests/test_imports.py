@@ -1,12 +1,13 @@
 """What ``import banditpool`` loads, checked in fresh interpreters.
 
-Only the linear agents' ridge solves need ``scipy.linalg`` and only runs with
-``workers > 1`` need a process pool, so importing the package loads neither;
-the LAPACK bindings arrive with the first solve.  The last tests check that
-the benchmark's tracer still finds every banditpool name it patches, and
-that it times the rankers as its exact counts expect.  Each
-test starts a new interpreter because this test process has long since
-imported both.
+Only the linear agents' ridge solves need LAPACK and only runs with
+``workers > 1`` need a process pool, so importing the package loads neither.
+The first solve loads the ``scipy`` package and its one LAPACK extension
+module, ``scipy.linalg._flapack``, and never ``scipy.linalg`` itself.  The
+last tests check that the benchmark's tracer still finds every banditpool
+name it patches, and that it times the rankers as its exact counts expect.
+Each test starts a new interpreter because this test process has long since
+imported all of them.
 """
 
 import json
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import banditpool
+from banditpool.agents import PoolParams, init_length
 from test_agents import reference_ridge_solve
 
 DEFERRED = ("scipy.linalg", "concurrent.futures.process")
@@ -80,6 +82,31 @@ def test_first_solves_bit_identical_to_scipy_wrappers(tmp_path, first):
     solved = reference_ridge_solve(gram, features.T)
     norms = np.sqrt(np.maximum(np.einsum("dk,dk->k", features.T, solved), 0.0))
     assert np.array_equal(saved["linucb_scores"], features @ theta + 0.7 * norms)
+
+
+def test_linear_runs_load_lapack_but_not_scipy_linalg():
+    """A whole linear run of each solving kind leaves ``scipy.linalg``
+    unloaded, and a ``scipy.linalg`` imported afterwards reuses the
+    extension module the solves loaded.  The horizon outlasts the pool
+    agent's warm-up, so it solves too."""
+    assert init_length(300, PoolParams().z, 3) < 300
+    out = run_fresh("""
+        import json, sys
+        from banditpool import agents, bench
+
+        config = bench.RunConfig(
+            experiment="linear", env={"family": "gaussian", "K": 8, "d": 3},
+            horizon=300, instances=1, runs=1, seed=4, out_dir="unused",
+            agents=tuple(bench.AgentSpec(kind, kind, {})
+                         for kind in ("pool", "lints", "linucb", "linphe")))
+        for spec in config.agents:
+            bench.execute_run(config, 0, spec, 0)
+        loaded = [name for name in ("scipy.linalg", "scipy.linalg._flapack")
+                  if name in sys.modules]
+        from scipy.linalg import lapack
+        print(json.dumps([loaded, lapack.dpotrf is agents._lapack().dpotrf]))
+    """)
+    assert json.loads(out) == [["scipy.linalg._flapack"], True]
 
 
 def test_perfbench_tracer_installs_and_uninstalls():

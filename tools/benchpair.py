@@ -10,7 +10,7 @@ workload runs 10 pairs.  Pair ``i`` runs ``perfbench/run.py --workload W
 --seed SEED0+i --seconds S --trace 0`` once in each checkout, in a fresh
 interpreter, with the parent first in even pairs and the change first in odd
 ones.  ``S`` is the ``run_seconds`` of both checkouts' ``BENCHMARK.json``,
-which must agree.  Each side's own, unchanged ``perfbench/run.py`` runs, and
+which must agree, as must their ``end_to_end`` metrics.  Each side's own, unchanged ``perfbench/run.py`` runs, and
 its report is read from that checkout's
 ``.perfbench_out/<W>/report-seed<N>-trace0.json``.
 
@@ -21,9 +21,13 @@ and quartiles, the pairs the change won, and each compared run's value, in
 seed order.  A pair in which either side reported a failure is left out of
 the metrics, so ``pairs`` counts the compared pairs only.  Every end-to-end
 metric of ``BENCHMARK.json`` is better lower, so the change wins a pair when
-its value is the lower one; ties count for neither side.  The file is
-rewritten after each workload, and the table that ``CHANGES.md`` entries
-quote is printed at the end.
+its value is the lower one; ties count for neither side.  Each metric also
+gets a verdict: ``gain`` when the change won at least 9 pairs in 10 and its
+median lies below the parent's by more than the parent's interquartile
+range, ``worse`` when its median exceeds the parent's by more than the
+metric's ``bound`` (a fraction of the parent's median), and ``within bound``
+otherwise.  The file is rewritten after each workload, and the table that
+``CHANGES.md`` entries quote is printed at the end.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from pathlib import Path
 WORKLOADS = ("mab", "linear", "ranking", "theory")
 SIDES = ("parent", "change")
 PAIRS = 10
+GAIN_SHARE = 0.9  # of the compared pairs, that the change must win
 RUN_TIMEOUT_S = 900
 
 
@@ -65,14 +70,18 @@ def first_side(pair: int) -> str:
     return SIDES[pair % 2]
 
 
-def run_seconds(checkouts: dict) -> float:
-    """The ``run_seconds`` that both checkouts' ``BENCHMARK.json`` give."""
-    seconds = {side: json.loads((checkouts[side] / "BENCHMARK.json")
-                                .read_text())["run_seconds"]
-               for side in SIDES}
-    if seconds["parent"] != seconds["change"]:
-        raise SystemExit(f"the checkouts' run_seconds differ: {seconds}")
-    return float(seconds["change"])
+def benchmark(checkouts: dict) -> tuple[float, dict]:
+    """The ``run_seconds`` and each end-to-end metric's bound, which both
+    checkouts' ``BENCHMARK.json`` must give alike."""
+    declared = {side: json.loads((checkouts[side] / "BENCHMARK.json")
+                                 .read_text()) for side in SIDES}
+    for key in ("run_seconds", "end_to_end"):
+        values = {side: declared[side][key] for side in SIDES}
+        if values["parent"] != values["change"]:
+            raise SystemExit(f"the checkouts' {key} differ: {values}")
+    change = declared["change"]
+    return (float(change["run_seconds"]),
+            {metric["name"]: metric["bound"] for metric in change["end_to_end"]})
 
 
 def collect(checkouts: dict, workload: str, seconds: float, seed0: int,
@@ -95,7 +104,19 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(records, seed0: int, loadavg: tuple[str, str]) -> dict:
+def verdict(entry: dict, bound: float) -> str:
+    """``gain``, ``worse`` or ``within bound``, for one metric's summary."""
+    parent, change = entry["parent"], entry["change"]
+    if (entry["won"] >= GAIN_SHARE * entry["pairs"]
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"]):
+        return "gain"
+    if change["median"] > parent["median"] * (1.0 + bound):
+        return "worse"
+    return "within bound"
+
+
+def summarize(records, seed0: int, loadavg: tuple[str, str],
+              bounds: dict) -> dict:
     """The summary of one workload's runs; the order of ``records`` does
     not enter."""
     reports = {(side, seed): report for side, seed, report in records}
@@ -116,6 +137,7 @@ def summarize(records, seed0: int, loadavg: tuple[str, str]) -> dict:
             q1, median, q3 = quartiles(values[side])
             entry[side] = {"median": median, "q1": q1, "q3": q3,
                            "runs": values[side]}
+        entry["verdict"] = verdict(entry, bounds[name])
         metrics[name] = entry
     return {
         "seeds": seeds,
@@ -134,7 +156,8 @@ def cell(entry: dict) -> str:
     change = (c["median"] / p["median"] - 1.0) * 100 if p["median"] else 0.0
     return (f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] → "
             f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] "
-            f"({change:+.1f}%), {entry['won']}/{entry['pairs']}")
+            f"({change:+.1f}%), {entry['won']}/{entry['pairs']}, "
+            f"{entry['verdict']}")
 
 
 def table(summaries: dict) -> str:
@@ -169,14 +192,14 @@ def parse_args(argv):
 def main(argv=None, runner=run_perfbench, loadavg=read_loadavg) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    seconds = run_seconds(checkouts)
+    seconds, bounds = benchmark(checkouts)
     result = {"pairs": PAIRS, "seconds": seconds, "seed0": args.seed0,
               "workloads": {}}
     for workload in args.workload or WORKLOADS:
         start = loadavg()
         records = collect(checkouts, workload, seconds, args.seed0, runner)
         result["workloads"][workload] = summarize(
-            records, args.seed0, (start, loadavg()))
+            records, args.seed0, (start, loadavg()), bounds)
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(table(result["workloads"]))
     return 0
